@@ -207,7 +207,7 @@ double WindowNsPerStatement() {
   auto& c1 = metrics.counter("queries.total");
   auto& c2 = metrics.counter("queries.select");
   auto& c3 = metrics.counter("statement_cache.hits");
-  auto& c4 = metrics.counter("validity_cache.hits");
+  auto& c4 = metrics.counter("validity.cache_hits");
   auto& h1 = metrics.histogram("prepared.execute_us");
   auto& h2 = metrics.histogram("exec.run_us");
   auto& h3 = metrics.histogram("validity.check_us");

@@ -53,7 +53,7 @@ void BM_NoEnforcement(benchmark::State& state) {
   }
 }
 
-void BM_ValidityUncached(benchmark::State& state) {
+void BM_VerdictUncached(benchmark::State& state) {
   Database* db = SharedDb();
   db->options().enable_validity_cache = false;
   SessionContext ctx("s7");
@@ -66,7 +66,7 @@ void BM_ValidityUncached(benchmark::State& state) {
   db->options().enable_validity_cache = true;
 }
 
-void BM_ValidityCached(benchmark::State& state) {
+void BM_VerdictCached(benchmark::State& state) {
   Database* db = SharedDb();
   db->options().enable_validity_cache = true;
   SessionContext ctx("s7");
@@ -85,7 +85,7 @@ void BM_ValidityCached(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
   state.counters["cache_hits"] =
-      benchmark::Counter(static_cast<double>(db->validity_cache().hits()));
+      benchmark::Counter(static_cast<double>(db->statement_cache().hits()));
 }
 
 // Prepared-statement pattern: same statement, different constants => each
@@ -115,8 +115,8 @@ void BM_PreparedStatementCycle(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_NoEnforcement)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ValidityUncached)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ValidityCached)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_VerdictUncached)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_VerdictCached)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PreparedStatementCycle)->Unit(benchmark::kMicrosecond);
 
 FGAC_BENCHMARK_MAIN();

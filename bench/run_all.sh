@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs every bench binary and aggregates their JSON-line outputs into one
-# machine-readable BENCH_RESULTS.json.
+# machine-readable BENCH_RESULTS.json, together with the size of the engine
+# ("src_lines": non-blank lines of src/**/*.{h,cc}).
 #
 # Usage:
 #   bench/run_all.sh [output.json]
@@ -48,7 +49,7 @@ for bin in "$BUILD_DIR"/bench/bench_*; do
 done
 
 python3 - "$TMP" "$OUT" "${FGAC_SEED_BASELINE:-}" <<'EOF'
-import json, sys
+import json, os, sys
 
 def read_lines(path):
     out = []
@@ -72,13 +73,21 @@ for entry in runs:
         entry["speedup_vs_baseline"] = round(
             base["ns_per_op"] / entry["ns_per_op"], 3)
 
-doc = {"benchmarks": runs}
+src_lines = 0
+for dirpath, _, filenames in os.walk("src"):
+    for name in filenames:
+        if name.endswith((".h", ".cc")):
+            with open(os.path.join(dirpath, name)) as f:
+                src_lines += sum(1 for line in f if line.strip())
+
+doc = {"benchmarks": runs, "src_lines": src_lines}
 if baseline:
     doc["baseline_source"] = sys.argv[3]
 with open(sys.argv[2], "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
-print(f"wrote {sys.argv[2]} ({len(runs)} measurements)")
+print(f"wrote {sys.argv[2]} ({len(runs)} measurements, "
+      f"src_lines {src_lines})")
 EOF
 
 exit $failed

@@ -52,7 +52,7 @@ struct AuditEvent {
   std::string status = "ok";
   /// Error message when the statement failed.
   std::string error;
-  /// True when the Non-Truman verdict came from the validity cache.
+  /// True when the Non-Truman verdict came from the statement cache.
   bool from_cache = false;
   /// SELECT result rows / DML affected rows.
   int64_t rows_out = 0;

@@ -62,8 +62,10 @@ size_t Value::Hash() const {
       return bool_value() ? 0x1234567 : 0x89abcde;
     case Kind::kInt: {
       // Hash through double so that equal int/double values collide.
+      // Values near INT64_MAX round up to 2^63, which does not fit back
+      // into int64_t (the cast would be undefined), so test the range first.
       double d = static_cast<double>(int_value());
-      if (static_cast<int64_t>(d) == int_value()) {
+      if (d < 9223372036854775808.0 && static_cast<int64_t>(d) == int_value()) {
         return std::hash<double>()(d);
       }
       return std::hash<int64_t>()(int_value());

@@ -38,6 +38,18 @@ DatabaseOptions DefaultOptions() {
   return o;
 }
 
+/// FNV fingerprint of the session parameterization (name -> value, in the
+/// map's sorted order) — the cache dimension that captures $user-id-style
+/// session parameters feeding view instantiation.
+uint64_t SessionParamsFingerprint(const SessionContext& ctx) {
+  uint64_t fp = 1469598103934665603ULL;
+  for (const auto& [name, value] : ctx.params()) {
+    fp = fp * 1099511628211ULL ^ std::hash<std::string>()(name);
+    fp = fp * 1099511628211ULL ^ value.Hash();
+  }
+  return fp;
+}
+
 SessionContext AdminContext() {
   SessionContext ctx("admin");
   ctx.set_mode(EnforcementMode::kNone);
@@ -129,7 +141,6 @@ Database::Database() : Database(DefaultOptions()) {}
 Database::Database(DatabaseOptions options)
     : options_(std::move(options)),
       tracker_(options_.memory),
-      cache_(options_.validity_cache_capacity),
       stmt_cache_(options_.statement_cache_capacity),
       tracer_(options_.trace_retain_spans) {
   // Applies only on first use process-wide (the pool is shared); later
@@ -378,10 +389,6 @@ void Database::RefreshExportGauges() {
       .Set(static_cast<int64_t>(tracer_.spans_recorded()));
   metrics_.gauge("trace.spans_dropped")
       .Set(static_cast<int64_t>(tracer_.spans_dropped()));
-  metrics_.gauge("validity_cache.hits").Set(cache_.hits());
-  metrics_.gauge("validity_cache.misses").Set(cache_.misses());
-  metrics_.gauge("validity_cache.evictions").Set(cache_.evictions());
-  metrics_.gauge("validity_cache.entries").Set(cache_.size());
   metrics_.gauge("statement_cache.hits")
       .Set(static_cast<int64_t>(stmt_cache_.hits()));
   metrics_.gauge("statement_cache.misses")
@@ -493,7 +500,18 @@ Result<ExecResult> Database::ExecuteSelectImpl(const sql::SelectStmt& stmt,
                                                QueryProfile* profile,
                                                common::AuditEvent* audit) {
   FGAC_ASSIGN_OR_RETURN(PlanPtr plan, BindQuery(stmt, ctx));
-  return RunSelect(plan, ctx, profile, audit, /*prep=*/nullptr);
+  if (ctx.mode() != EnforcementMode::kNonTruman) {
+    return RunSelect(plan, ctx, profile, audit, /*prep=*/nullptr);
+  }
+  // Verdicts are cached for an ad-hoc SELECT as for a prepared statement
+  // without parameters; its constants are part of the text.
+  std::string text = sql::SelectToSql(stmt);
+  PreparedRun run;
+  run.stmt_fp = algebra::PlanFingerprint(plan);
+  run.params_fp = SessionParamsFingerprint(ctx);
+  run.exec_fp = run.params_fp;
+  run.text = &text;
+  return RunSelect(plan, ctx, profile, audit, &run);
 }
 
 Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
@@ -652,7 +670,7 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
       break;
     case EnforcementMode::kTruman: {
       if (act != nullptr) act->set_phase(common::StatementPhase::kRewrite);
-      if (prep != nullptr) {
+      if (prep != nullptr && prep->parameterized != nullptr) {
         // Prepared fast path: the rewrite replaces base tables with
         // session-instantiated policy views and is independent of the
         // EXECUTE arguments, so the PARAMETERIZED rewritten plan is cached
@@ -686,42 +704,23 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
     case EnforcementMode::kNonTruman: {
       if (act != nullptr) act->set_phase(common::StatementPhase::kValidity);
       auto validity_t0 = Clock::now();
-      // The cache key must cover everything the verdict depends on: the
-      // bound plan AND the full session parameterization (a $term or
-      // $user-location change re-instantiates the views). Ad-hoc queries
-      // consult the ValidityCache under a fingerprint of the concrete
-      // plan; prepared executions consult the sharded StatementCache
-      // under (parameterized-statement fingerprint, params+arguments
-      // fingerprint) so the per-call key computation is a few multiplies
-      // instead of a plan-tree walk. Both carry catalog version + policy
-      // epoch and fail closed on either changing.
-      uint64_t fp = 0;
-      if (prep == nullptr) {
-        fp = algebra::PlanFingerprint(plan);
-        for (const auto& [name, value] : ctx.params()) {
-          fp = fp * 1099511628211ULL ^ std::hash<std::string>()(name);
-          fp = fp * 1099511628211ULL ^ value.Hash();
-        }
-      }
-      auto stmt_key = [&]() -> StatementCache::Key {
-        return StatementCache::Key{ctx.user(), prep->stmt_fp, *prep->text,
-                                   catalog_version(), policy_epoch()};
-      };
-      ValidityReport cached_report;
-      bool cached = false;
-      if (options_.enable_validity_cache) {
-        cached = prep != nullptr
-                     ? stmt_cache_.LookupVerdict(stmt_key(), prep->exec_fp,
-                                                 data_version(),
-                                                 &cached_report)
-                     : cache_.Lookup(ctx.user(), fp, catalog_version(),
-                                     policy_epoch(), data_version(),
-                                     &cached_report);
-      }
+      // The key covers everything the verdict depends on: the statement
+      // (fingerprint, exact text and argument values) and the full session
+      // parameterization (a $term or $user-location change re-instantiates
+      // the views). It is read once, before the check, so a verdict is
+      // stored under the catalog version, policy epoch and data version it
+      // was computed against: a change racing the check leaves it stale,
+      // never fresh.
+      const StatementCache::Key key{ctx.user(), prep->stmt_fp, *prep->text,
+                                    catalog_version(), policy_epoch()};
+      const uint64_t checked_data_version = data_version();
+      bool cached = options_.enable_validity_cache &&
+                    stmt_cache_.LookupVerdict(key, prep->exec_fp,
+                                              checked_data_version,
+                                              &out.validity, prep->args);
       if (cached) {
-        out.validity = std::move(cached_report);
         out.validity_from_cache = true;
-        if (prep != nullptr && act != nullptr) act->NoteCacheHit();
+        if (act != nullptr) act->NoteCacheHit();
         metrics_.counter("validity.cache_hits").Increment();
         if (trace != nullptr) {
           ValidityTraceEvent e;
@@ -808,13 +807,8 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
         if (out.validity.probe_budget_exhausted) {
           metrics_.counter("validity.probe_budget_exhausted").Increment();
         } else if (options_.enable_validity_cache) {
-          if (prep != nullptr) {
-            stmt_cache_.InsertVerdict(stmt_key(), prep->exec_fp,
-                                      data_version(), out.validity);
-          } else {
-            cache_.Insert(ctx.user(), fp, catalog_version(), policy_epoch(),
-                          data_version(), out.validity);
-          }
+          stmt_cache_.InsertVerdict(key, prep->exec_fp, checked_data_version,
+                                    out.validity, prep->args);
         }
       }
       uint64_t validity_ns = elapsed_ns(validity_t0);
@@ -938,22 +932,6 @@ void Database::MaybeCaptureSlowQuery(const SessionContext& ctx,
   slow_log_.Add(std::move(rec));
 }
 
-namespace {
-
-/// FNV fingerprint of the session parameterization (name -> value, in the
-/// map's sorted order) — the cache dimension that captures $user-id-style
-/// session parameters feeding view instantiation.
-uint64_t SessionParamsFingerprint(const SessionContext& ctx) {
-  uint64_t fp = 1469598103934665603ULL;
-  for (const auto& [name, value] : ctx.params()) {
-    fp = fp * 1099511628211ULL ^ std::hash<std::string>()(name);
-    fp = fp * 1099511628211ULL ^ value.Hash();
-  }
-  return fp;
-}
-
-}  // namespace
-
 Result<std::shared_ptr<PreparedStatement>> Database::Prepare(
     const sql::PrepareStmt& stmt, const SessionContext& ctx) {
   auto t0 = std::chrono::steady_clock::now();
@@ -1061,6 +1039,7 @@ Result<ExecResult> Database::ExecutePreparedImpl(
   // Arguments are constant expressions (literals, session $parameters,
   // arithmetic over them): bind them against an empty scope and fold.
   static const TableSchema kEmptySchema("", {});
+  PreparedRun run;
   std::map<std::string, Value> bindings;
   uint64_t params_fp = SessionParamsFingerprint(ctx);
   uint64_t exec_fp = params_fp;
@@ -1071,7 +1050,8 @@ Result<ExecResult> Database::ExecutePreparedImpl(
     Row empty;
     FGAC_ASSIGN_OR_RETURN(Value v, algebra::EvalScalar(scalar, empty));
     exec_fp = exec_fp * 1099511628211ULL ^ v.Hash();
-    bindings[prep.placeholders[i]] = std::move(v);
+    bindings[prep.placeholders[i]] = v;
+    run.args.push_back(std::move(v));
   }
 
   // Revalidate the bind-state cache: any catalog / policy / session-param
@@ -1108,7 +1088,6 @@ Result<ExecResult> Database::ExecutePreparedImpl(
           : algebra::NormalizePlan(
                 algebra::BindPlanParams(parameterized, bindings));
 
-  PreparedRun run;
   run.stmt_fp = stmt_fp;
   run.params_fp = params_fp;
   run.exec_fp = exec_fp;

@@ -23,7 +23,6 @@
 #include "core/statement_cache.h"
 #include "core/update_auth.h"
 #include "core/validity.h"
-#include "core/validity_cache.h"
 #include "core/validity_trace.h"
 #include "core/watchdog.h"
 #include "exec/admission.h"
@@ -43,7 +42,7 @@ struct ExecResult {
   /// Populated for Non-Truman SELECTs (the validity verdict that admitted
   /// the query).
   ValidityReport validity;
-  /// True when the validity verdict came from the prepared-statement cache.
+  /// True when the validity verdict came from the statement cache.
   bool validity_from_cache = false;
   /// True when the Truman-rewritten plan of a prepared execution came from
   /// the statement cache (the rewriter did not run for this call).
@@ -77,7 +76,8 @@ struct DatabaseOptions {
   /// Run SELECTs through the Volcano optimizer (cheapest plan) instead of
   /// executing the canonical bound plan directly.
   bool optimize_execution = true;
-  /// Use the prepared-statement validity cache (Section 5.6 optimization).
+  /// Reuse validity verdicts through the statement cache (Section 5.6
+  /// optimization).
   bool enable_validity_cache = true;
   /// Threads for morsel-driven parallel execution of SELECT plans and for
   /// batched validity probes. 1 = serial (the default: results are
@@ -93,10 +93,10 @@ struct DatabaseOptions {
   /// degradation policy). Unlimited by default; a session can override via
   /// SessionContext::set_query_limits.
   common::QueryLimits limits;
-  /// Bound on the validity cache (LRU-evicted beyond this many verdicts).
-  size_t validity_cache_capacity = ValidityCache::kDefaultMaxEntries;
-  /// Bound on the prepared-statement enforcement cache (split across its
-  /// shards; LRU-evicted per shard beyond this).
+  /// Bound on the statement cache of verdicts and Truman plans, split
+  /// across its shards and LRU-evicted per shard beyond that. Each shard
+  /// keeps at least one entry, so the cache holds up to
+  /// max(statement_cache_capacity, StatementCache::kShards) entries.
   size_t statement_cache_capacity = StatementCache::kDefaultMaxEntries;
   /// Security audit log configuration (ring size, sink file, fsync policy).
   /// Enabled by default: every statement executed through Execute /
@@ -201,7 +201,9 @@ class Database {
   storage::DatabaseState& state() { return state_; }
   const storage::DatabaseState& state() const { return state_; }
   DatabaseOptions& options() { return options_; }
-  ValidityCache& validity_cache() { return cache_; }
+  /// The one verdict cache, for ad-hoc and prepared statements alike: the
+  /// same object as statement_cache().
+  StatementCache& validity_cache() { return stmt_cache_; }
   StatementCache& statement_cache() { return stmt_cache_; }
   uint64_t catalog_version() const {
     return catalog_version_.load(std::memory_order_acquire);
@@ -210,7 +212,7 @@ class Database {
   /// advances on any view / grant / role / Truman-binding / principal
   /// change and fail-closed-invalidates every cached enforcement decision.
   uint64_t policy_epoch() const { return catalog_.policy_epoch(); }
-  /// Data version used for ValidityCache invalidation. Derived from the
+  /// Data version behind cached conditional verdicts. Derived from the
   /// storage layer's per-table mutation counters, so direct TableData
   /// writers (bench/test seeding) are covered — not only DML routed
   /// through Execute().
@@ -232,7 +234,7 @@ class Database {
   exec::AdmissionController& admission() { return *admission_; }
   const exec::AdmissionController& admission() const { return *admission_; }
 
-  /// Refreshes the export-time gauges (validity-cache occupancy, shared
+  /// Refreshes the export-time gauges (statement-cache occupancy, shared
   /// thread-pool stats, fault-injection hit counts, audit/trace counters)
   /// and returns the whole registry as one JSON object.
   std::string ExportMetricsJson();
@@ -293,16 +295,22 @@ class Database {
                                        QueryProfile* profile,
                                        common::AuditEvent* audit);
 
-  /// Identity of one prepared execution inside RunSelect: the cache keys
-  /// (statement fingerprint; session-parameter and parameter+argument
-  /// fingerprints) plus the parameterized plan and the argument bindings,
-  /// so the Truman branch can rewrite once per (principal, statement,
-  /// session params) and specialize per call. Null for ad-hoc queries.
+  /// Statement-cache identity of one SELECT inside RunSelect: the cache
+  /// keys (statement fingerprint and canonical text; session-parameter and
+  /// parameter+argument fingerprints) and the argument values. An ad-hoc
+  /// Non-Truman SELECT is a prepared statement without parameters: the
+  /// concrete plan's fingerprint, no arguments, no parameterized plan.
+  /// Null for ad-hoc None and Truman statements, which use no cache.
   struct PreparedRun {
     uint64_t stmt_fp = 0;
     uint64_t params_fp = 0;
     uint64_t exec_fp = 0;
     const std::string* text = nullptr;
+    /// Evaluated EXECUTE arguments in placeholder order.
+    std::vector<Value> args;
+    /// Set for prepared statements only: the parameterized plan and the
+    /// argument bindings, so the Truman branch can rewrite once per
+    /// (principal, statement, session params) and specialize per call.
     const algebra::PlanPtr* parameterized = nullptr;
     const std::map<std::string, Value>* bindings = nullptr;
   };
@@ -405,7 +413,6 @@ class Database {
   std::unique_ptr<exec::AdmissionController> admission_;
   catalog::Catalog catalog_;
   storage::DatabaseState state_;
-  ValidityCache cache_;
   StatementCache stmt_cache_;
   /// Atomic: advanced by DDL on one session while others read it for
   /// cache-freshness checks.

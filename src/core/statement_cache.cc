@@ -10,10 +10,25 @@ StatementCache::StatementCache(size_t max_entries) {
   max_per_shard_ = std::max<size_t>(1, total / kShards);
 }
 
+namespace {
+
+/// Exact equality, kind included: a verdict for `k = 3` is not reused for
+/// `k = 3.0`, just as the ad-hoc texts of the two differ.
+bool SameArgs(const std::vector<Value>& a, const std::vector<Value>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].kind() != b[i].kind() || !(a[i] == b[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 uint64_t StatementCache::EntryKey(const std::string& user,
                                   uint64_t stmt_fp) const {
-  // FNV-mix the principal into the plan fingerprint; the text tiebreak
-  // makes residual collisions harmless (a miss, never a wrong reuse).
+  // FNV-mix the principal into the plan fingerprint; the principal and
+  // text tiebreaks make residual collisions harmless (a miss, never a
+  // wrong reuse).
   uint64_t h = std::hash<std::string>()(user);
   return (h * 1099511628211ULL) ^ stmt_fp;
 }
@@ -40,7 +55,7 @@ StatementCache::Entry* StatementCache::FindFresh(Shard& shard,
     shard.entries.erase(it);
     return nullptr;
   }
-  if (entry.text != key.text) {
+  if (entry.user != key.user || entry.text != key.text) {
     collisions_.fetch_add(1, std::memory_order_relaxed);
     shard.collisions.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
@@ -56,11 +71,13 @@ StatementCache::Entry& StatementCache::UpsertEntry(Shard& shard,
   if (it != shard.entries.end()) {
     Entry& entry = it->second;
     if (entry.catalog_version != key.catalog_version ||
-        entry.policy_epoch != key.policy_epoch || entry.text != key.text) {
+        entry.policy_epoch != key.policy_epoch || entry.user != key.user ||
+        entry.text != key.text) {
       // Stale epoch or a fingerprint collision: start the entry over
       // rather than mixing variants computed under different premises.
       entry.truman_plans.clear();
       entry.verdicts.clear();
+      entry.user = key.user;
       entry.text = key.text;
       entry.catalog_version = key.catalog_version;
       entry.policy_epoch = key.policy_epoch;
@@ -76,6 +93,7 @@ StatementCache::Entry& StatementCache::UpsertEntry(Shard& shard,
   }
   shard.lru.push_front(entry_key);
   Entry& entry = shard.entries[entry_key];
+  entry.user = key.user;
   entry.text = key.text;
   entry.catalog_version = key.catalog_version;
   entry.policy_epoch = key.policy_epoch;
@@ -116,8 +134,8 @@ void StatementCache::InsertTrumanPlan(const Key& key, uint64_t params_fp,
 }
 
 bool StatementCache::LookupVerdict(const Key& key, uint64_t exec_fp,
-                                   uint64_t data_version,
-                                   ValidityReport* out) {
+                                   uint64_t data_version, ValidityReport* out,
+                                   const std::vector<Value>& args) {
   uint64_t ek = EntryKey(key.user, key.stmt_fp);
   Shard& shard = ShardFor(ek);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -126,11 +144,16 @@ bool StatementCache::LookupVerdict(const Key& key, uint64_t exec_fp,
     auto it = entry->verdicts.find(exec_fp);
     if (it != entry->verdicts.end()) {
       const CachedVerdict& v = it->second;
-      // Same rule as ValidityCache: only unconditionally-valid verdicts
-      // survive data changes; conditional verdicts and rejections hinge on
-      // the rows present when they were computed.
+      // Only unconditionally-valid verdicts survive data changes;
+      // conditional verdicts and rejections hinge on the rows present when
+      // they were computed.
       bool data_sensitive = !v.report.valid || !v.report.unconditional;
-      if (data_sensitive && v.data_version != data_version) {
+      if (!SameArgs(v.args, args)) {
+        // The argument fingerprint collided: the verdict is for other
+        // constants.
+        collisions_.fetch_add(1, std::memory_order_relaxed);
+        shard.collisions.fetch_add(1, std::memory_order_relaxed);
+      } else if (data_sensitive && v.data_version != data_version) {
         entry->verdicts.erase(it);
       } else {
         hits_.fetch_add(1, std::memory_order_relaxed);
@@ -147,7 +170,8 @@ bool StatementCache::LookupVerdict(const Key& key, uint64_t exec_fp,
 
 void StatementCache::InsertVerdict(const Key& key, uint64_t exec_fp,
                                    uint64_t data_version,
-                                   ValidityReport report) {
+                                   ValidityReport report,
+                                   std::vector<Value> args) {
   if (report.probe_budget_exhausted) return;  // sound once, never cached
   uint64_t ek = EntryKey(key.user, key.stmt_fp);
   Shard& shard = ShardFor(ek);
@@ -160,6 +184,7 @@ void StatementCache::InsertVerdict(const Key& key, uint64_t exec_fp,
   CachedVerdict v;
   v.report = std::move(report);
   v.data_version = data_version;
+  v.args = std::move(args);
   entry.verdicts[exec_fp] = std::move(v);
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "algebra/plan.h"
+#include "common/value.h"
 #include "core/validity.h"
 #include "sql/ast.h"
 
@@ -45,14 +46,16 @@ struct PreparedStatement {
   uint64_t session_params_fp = 0;
 };
 
-/// Sharded per-principal enforcement cache for prepared statements (paper
-/// Section 5.6 taken to steady state): once a (principal, statement) pair
-/// has been through the Truman rewriter or the Non-Truman validity
-/// checker, re-executions skip that work entirely.
+/// Sharded per-principal enforcement cache (paper Section 5.6 taken to
+/// steady state), and the engine's one validity-verdict cache: once a
+/// (principal, statement) pair has been through the Truman rewriter or the
+/// Non-Truman validity checker, re-executions skip that work entirely. An
+/// ad-hoc SELECT is cached as a prepared statement without parameters.
 ///
-/// Key = (principal, structural fingerprint of the PARAMETERIZED bound
-/// plan), with the canonical statement text stored alongside and compared
-/// on every hit — a fingerprint collision between distinct statements
+/// Key = (principal, structural fingerprint of the bound plan —
+/// parameterized for EXECUTE, concrete ad hoc), with the principal and the
+/// canonical statement text stored alongside and compared on every hit — a
+/// fingerprint collision between distinct statements or principals
 /// degrades to a miss, never to a cross-statement reuse. Each entry
 /// carries:
 ///   * Truman-rewritten parameterized plans, keyed by the session-parameter
@@ -60,21 +63,24 @@ struct PreparedStatement {
 ///     parameters, but is independent of EXECUTE arguments);
 ///   * Non-Truman validity verdicts, keyed by the (session params +
 ///     EXECUTE arguments) fingerprint, since the verdict may hinge on the
-///     concrete constants.
+///     concrete constants. Each verdict stores the argument values and a
+///     hit compares them exactly; ad-hoc verdicts store none, because
+///     their constants are in the text.
 ///
 /// Invalidation is fail-closed and two-level. The entry records the
 /// catalog version and the catalog's policy epoch it was built under; a
 /// lookup under any newer version/epoch erases the whole entry and
 /// re-runs enforcement. Data-sensitive verdicts (conditional or rejected)
-/// additionally record the data version and are dropped when it advances,
-/// mirroring ValidityCache. Verdicts reached with the probe budget
-/// exhausted are never inserted.
+/// additionally record the data version and are dropped when it advances.
+/// Verdicts reached with the probe budget exhausted are never inserted.
 ///
 /// Shard layout: kShards fixed shards, each a mutex + hash map + LRU list.
 /// The shard index is the key hash's low bits, so concurrent sessions
 /// executing different statements contend on different mutexes; the inner
 /// variant maps are bounded (kMaxVariants) so one statement executed with
-/// endless distinct arguments cannot grow an entry without bound.
+/// endless distinct arguments cannot grow an entry without bound. Each
+/// shard keeps at least one entry, so the cache holds up to
+/// max(max_entries, kShards) entries.
 class StatementCache {
  public:
   static constexpr size_t kShards = 16;
@@ -100,11 +106,13 @@ class StatementCache {
                         algebra::PlanPtr plan);
 
   /// Copies the cached verdict for the (params+args) fingerprint into
-  /// `*out`; false on miss / staleness.
+  /// `*out`; false on miss / staleness. `args` are the evaluated EXECUTE
+  /// arguments (empty ad hoc); a verdict stored for other argument values
+  /// is a miss.
   bool LookupVerdict(const Key& key, uint64_t exec_fp, uint64_t data_version,
-                     ValidityReport* out);
+                     ValidityReport* out, const std::vector<Value>& args = {});
   void InsertVerdict(const Key& key, uint64_t exec_fp, uint64_t data_version,
-                     ValidityReport report);
+                     ValidityReport report, std::vector<Value> args = {});
 
   void Clear();
   size_t size() const;
@@ -119,7 +127,8 @@ class StatementCache {
   uint64_t invalidations() const {
     return invalidations_.load(std::memory_order_relaxed);
   }
-  /// Lookups that matched a fingerprint but not the statement text.
+  /// Lookups that matched a fingerprint but not the principal, the
+  /// statement text or the verdict's argument values.
   uint64_t collisions() const {
     return collisions_.load(std::memory_order_relaxed);
   }
@@ -142,9 +151,11 @@ class StatementCache {
   struct CachedVerdict {
     ValidityReport report;
     uint64_t data_version = 0;
+    std::vector<Value> args;
   };
 
   struct Entry {
+    std::string user;
     std::string text;
     uint64_t catalog_version = 0;
     uint64_t policy_epoch = 0;
@@ -168,8 +179,8 @@ class StatementCache {
   uint64_t EntryKey(const std::string& user, uint64_t stmt_fp) const;
   Shard& ShardFor(uint64_t entry_key);
 
-  /// Finds a fresh, text-matching entry; erases stale ones. Returns
-  /// nullptr on miss. Caller holds the shard mutex.
+  /// Finds a fresh entry matching the principal and text; erases stale
+  /// ones. Returns nullptr on miss. Caller holds the shard mutex.
   Entry* FindFresh(Shard& shard, uint64_t entry_key, const Key& key);
 
   /// Finds-or-creates a fresh entry for inserts (a stale or colliding

@@ -14,7 +14,7 @@ namespace fgac::core {
 /// the audit trail of why a query was admitted, rejected or degraded.
 struct ValidityTraceEvent {
   enum class Kind {
-    kCacheHit,    // verdict served from the prepared-statement cache
+    kCacheHit,    // verdict served from the statement cache
     kCacheMiss,   // cache consulted, inference had to run
     kRuleFired,   // an inference rule marked a DAG group valid
     kProbeBatch,  // C3a/C3b/CAgg visible-non-emptiness probes executed

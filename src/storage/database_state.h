@@ -42,8 +42,8 @@ class DatabaseState {
   /// Monotonic version of the stored data, advanced by EVERY mutation path:
   /// per-table mutation counters plus a structural component for table
   /// creation/removal. Direct TableData writers (bench seeding, tests)
-  /// therefore invalidate ValidityCache conditional verdicts exactly like
-  /// DML routed through Database — there is no bypass.
+  /// therefore invalidate cached conditional verdicts exactly like DML
+  /// routed through Database — there is no bypass.
   uint64_t DataVersion() const;
 
  private:

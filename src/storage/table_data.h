@@ -36,8 +36,8 @@ namespace fgac::storage {
 /// deliberately no mutable_rows() escape hatch. A reference leaked from such
 /// an accessor could be written through *after* the next scan rebuilt the
 /// snapshot (leaving the snapshot silently stale), and writes through it
-/// would bypass the version counter that ValidityCache conditional verdicts
-/// depend on.
+/// would bypass the version counter that cached conditional verdicts depend
+/// on.
 class TableData {
  public:
   TableData() = default;
@@ -68,9 +68,9 @@ class TableData {
   size_t num_rows() const { return rows_.size(); }
 
   /// Counts mutations (inserts, updates, deletes, wholesale replacement).
-  /// ValidityCache keys conditional verdicts on the aggregate of these
-  /// counters, so every write path — including bench/test seeding that
-  /// bypasses Database — advances it.
+  /// The statement cache keys conditional verdicts on the aggregate of
+  /// these counters, so every write path — including bench/test seeding
+  /// that bypasses Database — advances it.
   uint64_t version() const { return version_; }
 
   void Insert(Row row) {

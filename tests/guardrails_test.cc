@@ -377,45 +377,33 @@ TEST_F(GuardrailsTest, DegradedVerdictIsNeverCached) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded validity cache
+// Bounded verdict cache
 // ---------------------------------------------------------------------------
 
-TEST_F(GuardrailsTest, ValidityCacheEvictsAtCapacity) {
+TEST_F(GuardrailsTest, StatementCacheEvictsAtCapacity) {
   DatabaseOptions options;
-  options.validity_cache_capacity = 4;
+  options.statement_cache_capacity = 4;
   Database db(std::move(options));
   SetupUniversity(&db);
   CreateUniversityViews(&db);
   ASSERT_TRUE(db.ExecuteScript("grant select on mygrades to 11").ok());
   SessionContext ctx = NonTruman("11");
-  // Distinct constants fingerprint differently: adversarial unique-query
+  // Distinct constants are distinct statements: adversarial unique-query
   // traffic cycles the cache instead of growing it without bound.
-  for (int i = 0; i < 20; ++i) {
+  constexpr size_t kQueries = 20;
+  for (size_t i = 0; i < kQueries; ++i) {
     auto r = db.Execute("select grade from grades where student-id = '11' "
                             "and grade > " +
                             std::to_string(i),
                         ctx);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
-  EXPECT_LE(db.validity_cache().size(), 4u);
-  EXPECT_EQ(db.validity_cache().max_entries(), 4u);
-  EXPECT_GE(db.validity_cache().evictions(), 16u);
-}
-
-TEST(ValidityCacheLruTest, RecentlyUsedEntrySurvivesEviction) {
-  core::ValidityCache cache(2);
-  core::ValidityReport report;
-  report.valid = true;
-  report.unconditional = true;
-  cache.Insert("u", 1, 1, 1, 1, report);
-  cache.Insert("u", 2, 1, 1, 1, report);
-  // Touch 1 so 2 becomes the LRU victim.
-  EXPECT_TRUE(cache.Lookup("u", 1, 1, 1, 1, nullptr));
-  cache.Insert("u", 3, 1, 1, 1, report);
-  EXPECT_TRUE(cache.Lookup("u", 1, 1, 1, 1, nullptr));
-  EXPECT_FALSE(cache.Lookup("u", 2, 1, 1, 1, nullptr));
-  EXPECT_TRUE(cache.Lookup("u", 3, 1, 1, 1, nullptr));
-  EXPECT_EQ(cache.evictions(), 1u);
+  // Every shard keeps at least one entry, so a capacity of 4 holds up to
+  // kShards entries; 20 statements spread over more than 4 shards.
+  const core::StatementCache& cache = db.statement_cache();
+  EXPECT_LE(cache.size(), core::StatementCache::kShards);
+  EXPECT_GT(cache.size(), 4u);
+  EXPECT_EQ(cache.size() + cache.evictions(), kQueries);
 }
 
 // ---------------------------------------------------------------------------

@@ -263,8 +263,8 @@ TEST_F(DatabaseMetricsTest, ExportRefreshesSubsystemGauges) {
       db_.Execute("select grade from grades where student-id = '11'", ctx)
           .ok());
   std::string json = db_.ExportMetricsJson();
-  EXPECT_NE(json.find("\"validity_cache.entries\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"validity_cache.misses\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"statement_cache.entries\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"statement_cache.misses\":1"), std::string::npos);
   EXPECT_NE(json.find("\"thread_pool.tasks_run\""), std::string::npos);
   EXPECT_NE(json.find("\"queries.select\":1"), std::string::npos);
   EXPECT_NE(json.find("\"exec.run_us\""), std::string::npos);
@@ -448,7 +448,7 @@ TEST_F(DatabaseMetricsTest, PrometheusExportParsesAndCoversQueryMetrics) {
   std::string text = db_.ExportMetricsPrometheus();
   AssertPrometheusParses(text);
   EXPECT_NE(text.find("fgac_queries_select_total 1\n"), std::string::npos);
-  EXPECT_NE(text.find("fgac_validity_cache_entries"), std::string::npos);
+  EXPECT_NE(text.find("fgac_statement_cache_entries"), std::string::npos);
   EXPECT_NE(text.find("fgac_watchdog_statements_in_flight"),
             std::string::npos);
 }
@@ -492,8 +492,6 @@ TEST_F(DatabaseMetricsTest, ExportGaugeKeySetIsPinned) {
       "thread_pool.queue_depth", "thread_pool.queue_depth_high_water",
       "thread_pool.tasks_run", "thread_pool.tasks_stolen",
       "trace.spans_dropped", "trace.spans_recorded",
-      "validity_cache.entries", "validity_cache.evictions",
-      "validity_cache.hits", "validity_cache.misses",
       "watchdog.admission_queue_depth", "watchdog.admission_running",
       "watchdog.max_statement_elapsed_us", "watchdog.scheduler_queue_depth",
       "watchdog.stalled_statements", "watchdog.statements_in_flight"};

@@ -168,14 +168,15 @@ TEST(ParserTest, PreparedStatements) {
   EXPECT_EQ(e->name, "q");
   EXPECT_EQ(e->args.size(), 2u);
   // No-argument EXECUTE omits the parens.
-  auto* e0 = static_cast<const ExecuteStmt*>(MustStmt("execute q").get());
+  auto exec0 = MustStmt("execute q");
+  auto* e0 = static_cast<const ExecuteStmt*>(exec0.get());
   EXPECT_EQ(e0->args.size(), 0u);
 
-  auto* d = static_cast<const DeallocateStmt*>(
-      MustStmt("deallocate q").get());
+  auto dealloc = MustStmt("deallocate q");
+  auto* d = static_cast<const DeallocateStmt*>(dealloc.get());
   EXPECT_EQ(d->name, "q");
-  auto* all = static_cast<const DeallocateStmt*>(
-      MustStmt("deallocate all").get());
+  auto dealloc_all = MustStmt("deallocate all");
+  auto* all = static_cast<const DeallocateStmt*>(dealloc_all.get());
   EXPECT_TRUE(all->name.empty());
 
   EXPECT_FALSE(Parser::ParseStatement("prepare q select 1").ok());

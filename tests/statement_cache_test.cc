@@ -2,6 +2,7 @@
 // fingerprint-collision tiebreaks) plus the end-to-end policy-epoch
 // regression tests: a cached verdict or rewrite must never outlive a
 // change to the policy state it was computed under.
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,30 @@ TEST(StatementCacheTest, TextMismatchIsAMissNeverAWrongReuse) {
   EXPECT_EQ(cache.LookupTrumanPlan(k1, 1), nullptr);
 }
 
+TEST(StatementCacheTest, PrincipalMismatchIsAMissNeverAWrongReuse) {
+  // Bob's fingerprint is chosen so that (bob, fp_b) lands on the entry key
+  // of (alice, 7), mirroring the cache's FNV mix of principal and
+  // fingerprint. Same text, so only the stored principal tells them apart.
+  StatementCache cache;
+  std::string alice = "alice", bob = "bob", text = "select a from t";
+  const uint64_t prime = 1099511628211ULL;
+  const uint64_t fp_b = 7 ^ (std::hash<std::string>()(alice) * prime) ^
+                        (std::hash<std::string>()(bob) * prime);
+  StatementCache::Key ka{alice, 7, text, 1, 1};
+  StatementCache::Key kb{bob, fp_b, text, 1, 1};
+  cache.InsertTrumanPlan(ka, 1, TrivialPlan());
+  cache.InsertVerdict(ka, 1, 1, Accepted(true));
+  ValidityReport out;
+  EXPECT_EQ(cache.LookupTrumanPlan(kb, 1), nullptr);
+  EXPECT_FALSE(cache.LookupVerdict(kb, 1, 1, &out));
+  EXPECT_GE(cache.collisions(), 2u);
+  // Bob's insert takes the entry over rather than adding one: the keys
+  // really collided.
+  cache.InsertVerdict(kb, 1, 1, Accepted(true));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_FALSE(cache.LookupVerdict(ka, 1, 1, &out));
+}
+
 TEST(StatementCacheTest, VerdictDataVersionRule) {
   StatementCache cache;
   std::string user = "u", text = "select a from t";
@@ -133,6 +158,41 @@ TEST(StatementCacheTest, LruEvictionBoundsEntries) {
   }
   EXPECT_LE(cache.size(), StatementCache::kShards);
   EXPECT_GE(cache.evictions(), 1u);
+}
+
+TEST(StatementCacheTest, RecentlyUsedEntrySurvivesEviction) {
+  // Two entries per shard. Fingerprints kShards apart share their low bits,
+  // so all three keys land in one shard.
+  StatementCache cache(/*max_entries=*/2 * StatementCache::kShards);
+  std::string user = "u", text = "q";
+  auto key = [&](uint64_t fp) {
+    return StatementCache::Key{user, fp, text, 1, 1};
+  };
+  const uint64_t a = 1, b = a + StatementCache::kShards,
+                 c = b + StatementCache::kShards;
+  cache.InsertVerdict(key(a), 1, 1, Accepted(true));
+  cache.InsertVerdict(key(b), 1, 1, Accepted(true));
+  // Touch `a` so `b` becomes the LRU victim.
+  EXPECT_TRUE(cache.LookupVerdict(key(a), 1, 1, nullptr));
+  cache.InsertVerdict(key(c), 1, 1, Accepted(true));
+  EXPECT_TRUE(cache.LookupVerdict(key(a), 1, 1, nullptr));
+  EXPECT_FALSE(cache.LookupVerdict(key(b), 1, 1, nullptr));
+  EXPECT_TRUE(cache.LookupVerdict(key(c), 1, 1, nullptr));
+  EXPECT_EQ(cache.evictions(), 1u);
+}
+
+TEST(StatementCacheTest, VerdictArgumentsAreComparedExactly) {
+  StatementCache cache;
+  std::string user = "u", text = "select a from t where a = $1";
+  StatementCache::Key key{user, 7, text, 1, 1};
+  cache.InsertVerdict(key, 9, 1, Accepted(true), {Value::Int(4)});
+  ValidityReport out;
+  EXPECT_TRUE(cache.LookupVerdict(key, 9, 1, &out, {Value::Int(4)}));
+  // Same argument fingerprint, other values (or kind): a miss.
+  EXPECT_FALSE(cache.LookupVerdict(key, 9, 1, &out, {Value::Int(5)}));
+  EXPECT_FALSE(cache.LookupVerdict(key, 9, 1, &out, {Value::Double(4.0)}));
+  EXPECT_FALSE(cache.LookupVerdict(key, 9, 1, &out, {}));
+  EXPECT_GE(cache.collisions(), 3u);
 }
 
 TEST(StatementCacheTest, VariantMapsAreBounded) {
@@ -217,7 +277,7 @@ TEST_F(PolicyEpochTest, CachedTrumanPlanDiesWhenPolicyChanges) {
   EXPECT_EQ(after.value().relation.num_rows(), 0u);
 }
 
-// Ad-hoc (non-prepared) Non-Truman queries go through ValidityCache; the
+// Ad-hoc (non-prepared) Non-Truman verdicts live in the same cache; the
 // epoch must gate those too.
 TEST_F(PolicyEpochTest, AdHocVerdictCacheRespectsEpoch) {
   const char* sql =
@@ -232,6 +292,45 @@ TEST_F(PolicyEpochTest, AdHocVerdictCacheRespectsEpoch) {
   auto after = db_.Execute(sql, ctx);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kNotAuthorized);
+}
+
+// Two constants whose 64-bit hashes are equal must not share a verdict.
+// The standard library hashes an int64 that no double holds exactly as
+// itself, so x = hash(4.0) hashes like 4. With only fingerprints in the
+// key, `k = x` was accepted from the cached verdict of `k = 4`, ad hoc and
+// through EXECUTE, and returned the row the policy hides.
+TEST(StatementCacheCollisionTest, EqualHashConstantsDoNotShareAVerdict) {
+  const int64_t x = static_cast<int64_t>(std::hash<double>()(4.0));
+  ASSERT_EQ(Value::Int(x).Hash(), Value::Int(4).Hash())
+      << "pick another constant: x no longer collides with 4";
+  const std::string xs = std::to_string(x);
+  Database db;
+  const std::string setup =
+      "create table t (k bigint, v varchar);"
+      "insert into t values (4, 'mine'), (" + xs + ", 'hidden');"
+      "create authorization view mine as select * from t where k = 4;"
+      "grant select on mine to u";
+  ASSERT_TRUE(db.ExecuteScript(setup).ok());
+  SessionContext ctx("u");
+  ctx.set_mode(EnforcementMode::kNonTruman);
+
+  const std::string hidden = "select v from t where k = " + xs;
+  auto alone = db.CheckQueryValidity(hidden, ctx);  // bypasses the cache
+  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+  ASSERT_FALSE(alone.value().valid);
+  ASSERT_TRUE(db.Execute("select v from t where k = 4", ctx).ok());
+  auto adhoc = db.Execute(hidden, ctx);
+  EXPECT_FALSE(adhoc.ok()) << SortedRowsToString(adhoc.value().relation);
+  EXPECT_EQ(adhoc.status().code(), StatusCode::kNotAuthorized);
+
+  ConnectionManager cm(db);
+  auto s = cm.Open("u", EnforcementMode::kNonTruman);
+  ASSERT_TRUE(s->Execute("prepare q as select v from t where k = $1").ok());
+  ASSERT_TRUE(s->Execute("execute q (4)").ok());
+  auto executed = s->Execute("execute q (" + xs + ")");
+  EXPECT_FALSE(executed.ok()) << SortedRowsToString(executed.value().relation);
+  EXPECT_EQ(executed.status().code(), StatusCode::kNotAuthorized);
+  cm.CloseAll();
 }
 
 }  // namespace

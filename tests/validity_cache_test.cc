@@ -1,10 +1,11 @@
-// The prepared-statement validity cache (paper Section 5.6 optimizations).
-
-#include "core/validity_cache.h"
+// Validity verdicts reused for re-issued statements (paper Section 5.6
+// optimizations), end to end through the statement cache: ad-hoc SELECTs
+// are cached as prepared statements without parameters.
 
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "server/connection_manager.h"
 #include "tests/test_util.h"
 
 namespace fgac {
@@ -13,72 +14,8 @@ namespace {
 using core::Database;
 using core::EnforcementMode;
 using core::SessionContext;
-using core::ValidityCache;
-using core::ValidityReport;
 using fgac::testing::CreateUniversityViews;
 using fgac::testing::SetupUniversity;
-
-ValidityReport Accepted(bool unconditional) {
-  ValidityReport r;
-  r.valid = true;
-  r.unconditional = unconditional;
-  return r;
-}
-
-// Lookup helper for the (user, plan_fp, catalog_version, policy_epoch,
-// data_version) signature; returns whether the lookup hit.
-bool Hit(ValidityCache& cache, const std::string& user, uint64_t fp,
-         uint64_t cv, uint64_t pe, uint64_t dv,
-         ValidityReport* out = nullptr) {
-  return cache.Lookup(user, fp, cv, pe, dv, out);
-}
-
-TEST(ValidityCacheTest, HitAfterInsert) {
-  ValidityCache cache;
-  EXPECT_FALSE(Hit(cache, "u", 1, 1, 1, 1));
-  cache.Insert("u", 1, 1, 1, 1, Accepted(true));
-  ValidityReport report;
-  ASSERT_TRUE(Hit(cache, "u", 1, 1, 1, 1, &report));
-  EXPECT_TRUE(report.valid);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(ValidityCacheTest, KeyedByUserAndPlan) {
-  ValidityCache cache;
-  cache.Insert("u", 1, 1, 1, 1, Accepted(true));
-  EXPECT_FALSE(Hit(cache, "v", 1, 1, 1, 1));
-  EXPECT_FALSE(Hit(cache, "u", 2, 1, 1, 1));
-}
-
-TEST(ValidityCacheTest, CatalogVersionInvalidatesEverything) {
-  ValidityCache cache;
-  cache.Insert("u", 1, 1, 1, 1, Accepted(true));
-  EXPECT_FALSE(Hit(cache, "u", 1, 2, 1, 1));
-}
-
-TEST(ValidityCacheTest, PolicyEpochInvalidatesEverything) {
-  // Even an unconditional acceptance dies when the policy epoch advances:
-  // the authorization views it was judged against may have narrowed.
-  ValidityCache cache;
-  cache.Insert("u", 1, 1, 1, 1, Accepted(true));
-  EXPECT_FALSE(Hit(cache, "u", 1, 1, 2, 1));
-  // The stale entry was erased, not just skipped.
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ValidityCacheTest, DataVersionInvalidatesConditionalOnly) {
-  ValidityCache cache;
-  cache.Insert("u", 1, 1, 1, 1, Accepted(true));        // unconditional
-  cache.Insert("u", 2, 1, 1, 1, Accepted(false));       // conditional
-  ValidityReport rejected;
-  rejected.valid = false;
-  cache.Insert("u", 3, 1, 1, 1, rejected);              // rejection
-  // Data changed: unconditional verdicts survive, conditional/rejections die.
-  EXPECT_TRUE(Hit(cache, "u", 1, 1, 1, 2));
-  EXPECT_FALSE(Hit(cache, "u", 2, 1, 1, 2));
-  EXPECT_FALSE(Hit(cache, "u", 3, 1, 1, 2));
-}
 
 class DatabaseCacheTest : public ::testing::Test {
  protected:
@@ -217,7 +154,7 @@ TEST_F(DatabaseCacheTest, BlownProbeBudgetVerdictIsNotCached) {
     EXPECT_FALSE(r.value().validity_from_cache);
     // The starved verdict must not have entered the cache: a second
     // execution re-derives from scratch.
-    EXPECT_EQ(db.validity_cache().size(), 0u);
+    EXPECT_EQ(db.statement_cache().size(), 0u);
     auto again = db.Execute(q, Student());
     ASSERT_TRUE(again.ok());
     EXPECT_FALSE(again.value().validity_from_cache);
@@ -235,7 +172,39 @@ TEST_F(DatabaseCacheTest, DifferentConstantsKeySeparately) {
   auto r = db_.Execute("select grade from grades where student-id = '12'",
                        Student());
   ASSERT_FALSE(r.ok());  // not authorized, and independently computed
-  EXPECT_EQ(db_.validity_cache().size(), 2u);
+  EXPECT_EQ(db_.statement_cache().size(), 2u);
+}
+
+TEST_F(DatabaseCacheTest, AdHocVerdictServesPreparedStatementOfSameText) {
+  // One cache: the verdict an ad-hoc SELECT leaves behind is the entry an
+  // EXECUTE of the same text without placeholders looks up.
+  const std::string q = "select grade from grades where student-id = '11'";
+  server::ConnectionManager cm(db_);
+  auto s = cm.Open("11", EnforcementMode::kNonTruman);
+  auto adhoc = s->Execute(q);
+  ASSERT_TRUE(adhoc.ok()) << adhoc.status().ToString();
+  EXPECT_FALSE(adhoc.value().validity_from_cache);
+  ASSERT_TRUE(s->Execute("prepare q as " + q).ok());
+  auto executed = s->Execute("execute q");
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_TRUE(executed.value().validity_from_cache);
+  EXPECT_EQ(db_.statement_cache().size(), 1u);
+  cm.CloseAll();
+}
+
+TEST_F(DatabaseCacheTest, AdHocVerdictHitCountsAsSessionCacheHit) {
+  const std::string q = "select grade from grades where student-id = '11'";
+  server::ConnectionManager cm(db_);
+  auto s = cm.Open("11", EnforcementMode::kNonTruman);
+  ASSERT_TRUE(s->Execute(q).ok());
+  auto again = s->Execute(q);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_TRUE(again.value().validity_from_cache);
+  storage::Relation rel = fgac::testing::MustQueryAdmin(
+      &db_, "select cache_hits from fgac_sessions where user_name = '11'");
+  ASSERT_EQ(rel.num_rows(), 1u);
+  EXPECT_EQ(rel.rows()[0][0], Value::Int(1));
+  cm.CloseAll();
 }
 
 }  // namespace

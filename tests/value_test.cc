@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+
 namespace fgac {
 namespace {
 
@@ -29,6 +32,18 @@ TEST(ValueTest, NumericCrossTypeComparison) {
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Int(3).Hash(), Value::Double(3.0).Hash());
   EXPECT_EQ(Value::String("x").Hash(), Value::String("x").Hash());
+}
+
+TEST(ValueTest, HashOfInt64Extremes) {
+  // INT64_MIN is -2^63, exact as a double, so it hashes like that double.
+  // INT64_MAX rounds to 2^63, which does not convert back to int64_t (the
+  // sanitizer build's float-cast-overflow check catches an unguarded
+  // cast), so it hashes as an integer.
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(Value::Int(min).Hash(),
+            Value::Double(static_cast<double>(min)).Hash());
+  EXPECT_EQ(Value::Int(max).Hash(), std::hash<int64_t>()(max));
 }
 
 TEST(ValueTest, ToStringRendersSqlLiterals) {
