@@ -18,9 +18,9 @@
 //
 //   1. Append() — the ONLY work added to the query path — must stay under
 //      2 us single-threaded and under 4 us across 4 contending producers.
-//      It measures ~75 ns today; an accidental mutex, syscall, or
-//      allocation storm lands in microseconds and trips this reliably
-//      even on a noisy runner.
+//      It measures ~75-130 ns depending on the host (EXPERIMENTS.md
+//      E14); an accidental mutex, syscall, or allocation storm lands in
+//      microseconds and trips this reliably even on a noisy runner.
 //   2. The end-to-end audit-on vs audit-off delta gets only a 50%
 //      catastrophic backstop. On a single-core CI runner the run-to-run
 //      noise of the full query path is +/-10% — far above the real

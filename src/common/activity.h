@@ -93,6 +93,19 @@ class StatementActivity {
     return admission_wait_us_.load(std::memory_order_relaxed);
   }
 
+  /// Wall time of the validity check and of plan execution, stamped when
+  /// each phase ends (the audit event copies them at completion).
+  void set_validity_us(uint64_t us) {
+    validity_us_.store(us, std::memory_order_relaxed);
+  }
+  uint64_t validity_us() const {
+    return validity_us_.load(std::memory_order_relaxed);
+  }
+  void set_exec_us(uint64_t us) {
+    exec_us_.store(us, std::memory_order_relaxed);
+  }
+  uint64_t exec_us() const { return exec_us_.load(std::memory_order_relaxed); }
+
   /// The statement's deadline (from its QueryLimits timeout), 0 if none.
   /// The watchdog scales this by its deadline factor to decide stalls.
   void set_deadline_us(uint64_t us) {
@@ -133,6 +146,8 @@ class StatementActivity {
   std::atomic<uint64_t> guard_rows_{0};
   std::atomic<uint64_t> guard_bytes_{0};
   std::atomic<uint64_t> admission_wait_us_{0};
+  std::atomic<uint64_t> validity_us_{0};
+  std::atomic<uint64_t> exec_us_{0};
   std::atomic<uint64_t> deadline_us_{0};
   std::atomic<bool> stall_reported_{false};
   DagProgress progress_;

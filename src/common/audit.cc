@@ -60,7 +60,15 @@ std::string AuditEvent::ToJson() const {
   if (!error.empty()) out += ",\"error\":" + JsonQuote(error);
   if (trace_id != 0) out += ",\"trace_id\":" + std::to_string(trace_id);
   out += ",\"from_cache\":" + std::string(from_cache ? "true" : "false") +
-         ",\"rows_out\":" + std::to_string(rows_out) + "}";
+         ",\"rows_out\":" + std::to_string(rows_out) +
+         ",\"admission_wait_us\":" + std::to_string(admission_wait_us) +
+         ",\"validity_us\":" + std::to_string(validity_us) +
+         ",\"exec_us\":" + std::to_string(exec_us) +
+         ",\"queue_wait_us\":" + std::to_string(queue_wait_us) +
+         ",\"run_us\":" + std::to_string(run_us);
+  if (!trace.empty()) out += ",\"trace\":" + JsonQuote(trace);
+  if (!stats.empty()) out += ",\"stats\":" + JsonQuote(stats);
+  out += "}";
   return out;
 }
 

@@ -56,6 +56,17 @@ struct AuditEvent {
   bool from_cache = false;
   /// SELECT result rows / DML affected rows.
   int64_t rows_out = 0;
+  /// Where the time went, copied from the statement's activity record:
+  /// admission-queue wait, validity check, execution, and the pipeline
+  /// tasks' fair-queue wait and run time (summed across tasks).
+  uint64_t admission_wait_us = 0;
+  uint64_t validity_us = 0;
+  uint64_t exec_us = 0;
+  uint64_t queue_wait_us = 0;
+  uint64_t run_us = 0;
+  /// Rendered ValidityTrace and ExecStats; empty unless profiled.
+  std::string trace;
+  std::string stats;
 
   /// One JSON object (no trailing newline); every text field goes through
   /// the shared escaper, so arbitrary statement bytes yield valid JSON.

@@ -146,13 +146,7 @@ void ThreadPool::WorkerLoop(size_t self) {
 
 namespace {
 
-/// Size requested via ConfigureShared before the shared pool's creation.
-/// 0 = no request; fall through to FGAC_THREADS, then the hardware default.
-std::atomic<size_t> g_shared_pool_request{0};
-
 size_t ResolveSharedPoolSize() {
-  size_t requested = g_shared_pool_request.load(std::memory_order_relaxed);
-  if (requested > 0) return requested;
   if (const char* env = std::getenv("FGAC_THREADS")) {
     char* end = nullptr;
     unsigned long v = std::strtoul(env, &end, 10);
@@ -168,11 +162,6 @@ size_t ResolveSharedPoolSize() {
 ThreadPool& ThreadPool::Shared() {
   static ThreadPool* pool = new ThreadPool(ResolveSharedPoolSize());
   return *pool;
-}
-
-void ThreadPool::ConfigureShared(size_t n) {
-  if (n == 0) return;
-  g_shared_pool_request.store(n, std::memory_order_relaxed);
 }
 
 }  // namespace fgac::common

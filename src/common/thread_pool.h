@@ -80,15 +80,9 @@ class ThreadPool {
   /// Process-wide pool sized for the host (at least 4 threads so that
   /// multi-threaded execution paths are genuinely concurrent — and
   /// observable by TSan — even on small CI machines). Created on first
-  /// use; size resolution: ConfigureShared() request, else FGAC_THREADS
-  /// env var, else max(4, hardware_concurrency).
+  /// use and never resized; size: the FGAC_THREADS env var, else
+  /// max(4, hardware_concurrency).
   static ThreadPool& Shared();
-
-  /// Requests the shared pool's size before it exists. Takes effect only
-  /// if called before the first Shared() — the pool is created once and
-  /// never resized — and only with n > 0 (0 = keep the default
-  /// resolution). Later calls are ignored.
-  static void ConfigureShared(size_t n);
 
  private:
   struct WorkerQueue {

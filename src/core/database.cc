@@ -141,11 +141,7 @@ Database::Database() : Database(DefaultOptions()) {}
 Database::Database(DatabaseOptions options)
     : options_(std::move(options)),
       tracker_(options_.memory),
-      stmt_cache_(options_.statement_cache_capacity),
-      tracer_(options_.trace_retain_spans) {
-  // Applies only on first use process-wide (the pool is shared); later
-  // databases inherit whatever size the first one resolved.
-  common::ThreadPool::ConfigureShared(options_.shared_pool_threads);
+      stmt_cache_(options_.statement_cache_capacity) {
   // Attach the global memory account before any table exists so every
   // columnar snapshot — system tables included — is charged.
   state_.SetMemoryTracker(&tracker_);
@@ -241,6 +237,7 @@ Status Database::ExecuteScript(std::string_view sql) {
     // re-rendered from the AST — the script's raw slicing is not kept).
     auto t0 = std::chrono::steady_clock::now();
     common::AuditEvent ev = StartAudit(admin, sql::StmtToSql(*stmt));
+    ActivityScope activity_scope(activity_, admin, ev.statement);
     Result<ExecResult> r = ExecuteStmt(*stmt, admin, &ev);
     if (!r.ok()) {
       FinishAudit(&ev, r.status(), 0, t0);
@@ -264,6 +261,18 @@ void Database::FinishAudit(common::AuditEvent* ev, const Status& st,
   ev->status = AuditStatusName(st.code());
   if (!st.ok()) ev->error = st.message();
   if (st.ok()) ev->rows_out = rows_out;
+  // The activity record is the one source of the phase split and guard
+  // charges; a statement resolved in the session layer has none.
+  if (const common::StatementActivity* act = g_current_activity) {
+    ev->admission_wait_us = act->admission_wait_us();
+    ev->validity_us = act->validity_us();
+    ev->exec_us = act->exec_us();
+    ev->queue_wait_us =
+        act->progress().queue_wait_us.load(std::memory_order_relaxed);
+    ev->run_us = act->progress().run_us.load(std::memory_order_relaxed);
+    ev->guard_rows = act->guard_rows();
+    ev->guard_bytes = act->guard_bytes();
+  }
   if (ev->verdict.empty()) {
     // Paths that fill a verdict (the SELECT pipeline) already did; default
     // the rest from the outcome.
@@ -288,7 +297,7 @@ Result<ExecResult> Database::ExecuteStmt(const sql::Stmt& stmt,
   switch (stmt.kind()) {
     case sql::StmtKind::kSelect:
       return ExecuteSelect(static_cast<const sql::SelectStmt&>(stmt), ctx,
-                           audit);
+                           /*profile=*/nullptr, audit);
     case sql::StmtKind::kInsert:
       return ExecuteInsert(static_cast<const sql::InsertStmt&>(stmt), ctx);
     case sql::StmtKind::kUpdate:
@@ -356,11 +365,6 @@ Result<Relation> Database::RunPlan(const PlanPtr& plan,
   dag_opts.weight = ctx.scheduler_weight();
   if (g_current_activity != nullptr) {
     dag_opts.progress = &g_current_activity->progress();
-  }
-  if (!options_.optimize_execution) {
-    if (stats != nullptr) stats->SetExecutedPlan(plan);
-    return exec::ParallelExecutePlan(plan, state_, threads, guard, stats,
-                                     trace, dag_opts);
   }
   auto row_count = [this](const std::string& table) -> double {
     const storage::TableData* t = state_.GetTable(table);
@@ -459,8 +463,6 @@ void Database::RefreshExportGauges() {
       .Set(static_cast<int64_t>(activity_.statements_active()));
   metrics_.gauge("sessions.statements_begun")
       .Set(static_cast<int64_t>(activity_.statements_begun()));
-  metrics_.gauge("slow_query.captured")
-      .Set(static_cast<int64_t>(slow_log_.captured()));
   for (const auto& [site, hits] :
        common::FaultInjector::Instance().AllHitCounts()) {
     metrics_.gauge("fault." + site).Set(hits);
@@ -489,16 +491,8 @@ ValidityOptions Database::ResolvedValidityOptions() const {
 
 Result<ExecResult> Database::ExecuteSelect(const sql::SelectStmt& stmt,
                                            const SessionContext& ctx,
+                                           QueryProfile* profile,
                                            common::AuditEvent* audit) {
-  if (!ctx.profile()) return ExecuteSelectImpl(stmt, ctx, nullptr, audit);
-  QueryProfile profile;
-  return ExecuteSelectImpl(stmt, ctx, &profile, audit);
-}
-
-Result<ExecResult> Database::ExecuteSelectImpl(const sql::SelectStmt& stmt,
-                                               const SessionContext& ctx,
-                                               QueryProfile* profile,
-                                               common::AuditEvent* audit) {
   FGAC_ASSIGN_OR_RETURN(PlanPtr plan, BindQuery(stmt, ctx));
   if (ctx.mode() != EnforcementMode::kNonTruman) {
     return RunSelect(plan, ctx, profile, audit, /*prep=*/nullptr);
@@ -519,23 +513,6 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
                                        QueryProfile* profile,
                                        common::AuditEvent* audit,
                                        const PreparedRun* prep) {
-  auto t0 = std::chrono::steady_clock::now();
-  Result<ExecResult> r = RunSelectImpl(plan, ctx, profile, audit, prep);
-  uint64_t duration_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  // Capture runs on every exit path — rejections and guard trips are often
-  // exactly the statements worth a postmortem.
-  MaybeCaptureSlowQuery(ctx, profile, audit, r, duration_us);
-  return r;
-}
-
-Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
-                                           const SessionContext& ctx,
-                                           QueryProfile* profile,
-                                           common::AuditEvent* audit,
-                                           const PreparedRun* prep) {
   using Clock = std::chrono::steady_clock;
   auto elapsed_ns = [](Clock::time_point t0) -> uint64_t {
     return static_cast<uint64_t>(
@@ -547,6 +524,8 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
   common::StatementActivity* act = g_current_activity;
   ValidityTrace* trace = nullptr;
   exec::ExecStats* stats = nullptr;
+  QueryProfile session_profile;
+  if (profile == nullptr && ctx.profile()) profile = &session_profile;
   if (profile != nullptr) {
     profile->trace = std::make_shared<ValidityTrace>();
     profile->stats = std::make_shared<exec::ExecStats>();
@@ -601,22 +580,28 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
   }
   guard.set_memory_tracker(&tracker_);
 
-  // Guard charges land in the audit event on EVERY exit path — rejection,
-  // timeout, degradation, success — capturing what the statement cost.
-  struct GuardChargeCapture {
+  // On EVERY exit path — rejection, timeout, degradation, success — the
+  // final guard charges land on the activity record (the audit event
+  // copies them at completion), and a profiled statement's trace and
+  // stats are rendered into its audit event.
+  struct CompletionCapture {
     const common::QueryGuard& guard;
-    common::AuditEvent* ev;
     common::StatementActivity* act;
-    ~GuardChargeCapture() {
-      if (ev != nullptr) {
-        ev->guard_rows = guard.rows_charged();
-        ev->guard_bytes = guard.bytes_charged();
-      }
+    const QueryProfile* profile;
+    common::AuditEvent* ev;
+    ~CompletionCapture() {
       if (act != nullptr) {
         act->StampGuard(guard.rows_charged(), guard.bytes_charged());
       }
+      if (profile == nullptr || ev == nullptr) return;
+      if (!profile->trace->events().empty()) {
+        ev->trace = profile->trace->ToText();
+      }
+      if (profile->stats->executed_plan() != nullptr) {
+        ev->stats = profile->stats->Render();
+      }
     }
-  } charge_capture{guard, audit, act};
+  } completion_capture{guard, act, profile, audit};
 
   // Admission control happens after binding (the cost estimate needs the
   // plan's base tables) but BEFORE any heavy work and before the system-
@@ -756,6 +741,10 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
           return checker.Check(plan, views);
         }();
         if (!verdict.ok()) {
+          // A check that failed or blew its budget still spent this time.
+          if (act != nullptr) {
+            act->set_validity_us(elapsed_ns(validity_t0) / 1000);
+          }
           StatusCode code = verdict.status().code();
           // kCancelled always propagates — the user asked to stop, not to
           // get a cheaper answer. Only blown budgets are degradable.
@@ -813,6 +802,7 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
       }
       uint64_t validity_ns = elapsed_ns(validity_t0);
       metrics_.histogram("validity.check_us").Record(validity_ns / 1000);
+      if (act != nullptr) act->set_validity_us(validity_ns / 1000);
       if (stats != nullptr) stats->set_validity_nanos(validity_ns);
       if (audit != nullptr) {
         audit->from_cache = out.validity_from_cache;
@@ -847,6 +837,7 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
   }();
   uint64_t exec_ns = elapsed_ns(exec_t0);
   metrics_.histogram("exec.run_us").Record(exec_ns / 1000);
+  if (act != nullptr) act->set_exec_us(exec_ns / 1000);
   if (stats != nullptr) stats->set_exec_nanos(exec_ns);
   if (!ran.ok()) {
     note_guard_trip(ran.status());
@@ -858,78 +849,6 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
   named.mutable_rows() = std::move(out.relation.mutable_rows());
   out.relation = std::move(named);
   return out;
-}
-
-void Database::MaybeCaptureSlowQuery(const SessionContext& ctx,
-                                     QueryProfile* profile,
-                                     const common::AuditEvent* audit,
-                                     const Result<ExecResult>& r,
-                                     uint64_t duration_us) {
-  if (!slow_log_.enabled()) return;
-  common::StatementActivity* act = g_current_activity;
-  uint64_t rows = 0;
-  uint64_t bytes = 0;
-  if (act != nullptr) {
-    // GuardChargeCapture stamped the final charges on RunSelectImpl exit.
-    rows = act->guard_rows();
-    bytes = act->guard_bytes();
-  } else if (audit != nullptr) {
-    rows = audit->guard_rows;
-    bytes = audit->guard_bytes;
-  }
-  if (!slow_log_.ShouldCapture(duration_us, rows, bytes)) return;
-  metrics_.counter("slow_query.captures").Increment();
-  SlowQueryRecord rec;
-  rec.user = ctx.user();
-  rec.session = ctx.session_id();
-  if (act != nullptr) {
-    rec.statement = act->statement();
-  } else if (audit != nullptr) {
-    rec.statement = audit->statement;
-  }
-  if (audit != nullptr) rec.verdict = audit->verdict;
-  rec.status = r.ok() ? "ok" : AuditStatusName(r.status().code());
-  rec.duration_us = duration_us;
-  if (profile != nullptr && profile->stats != nullptr) {
-    rec.validity_us = profile->stats->validity_nanos() / 1000;
-    rec.exec_us = profile->stats->exec_nanos() / 1000;
-  }
-  if (act != nullptr) {
-    const common::DagProgress& p = act->progress();
-    rec.queue_wait_us = p.queue_wait_us.load(std::memory_order_relaxed);
-    rec.run_us = p.run_us.load(std::memory_order_relaxed);
-    rec.admission_wait_us = act->admission_wait_us();
-  }
-  rec.guard_rows = rows;
-  rec.guard_bytes = bytes;
-  if (profile != nullptr && profile->trace != nullptr &&
-      !profile->trace->events().empty()) {
-    rec.trace_text = profile->trace->ToText();
-  }
-  if (profile != nullptr && profile->stats != nullptr &&
-      profile->stats->executed_plan() != nullptr) {
-    rec.stats_text = profile->stats->Render();
-  }
-  if (audit_ != nullptr && audit_->enabled()) {
-    // The durable copy: the JSON-lines audit sink carries the capture even
-    // after the in-memory ring rolls over.
-    common::AuditEvent ev;
-    ev.user = rec.user;
-    ev.session = rec.session;
-    ev.mode = EnforcementModeName(ctx.mode());
-    ev.statement = rec.statement;
-    ev.statement_hash = common::AuditStatementHash(rec.statement);
-    ev.verdict = "slow_query";
-    ev.rules = "slow query: " + std::to_string(duration_us) +
-               "us, guard rows " + std::to_string(rows) + ", guard bytes " +
-               std::to_string(bytes);
-    ev.duration_us = static_cast<int64_t>(duration_us);
-    ev.guard_rows = rows;
-    ev.guard_bytes = bytes;
-    ev.status = rec.status;
-    audit_->Append(std::move(ev));
-  }
-  slow_log_.Add(std::move(rec));
 }
 
 Result<std::shared_ptr<PreparedStatement>> Database::Prepare(
@@ -1004,13 +923,7 @@ Result<ExecResult> Database::ExecutePrepared(
   }
   common::AuditEvent ev = StartAudit(ctx, text);
   ActivityScope activity_scope(activity_, ctx, text);
-  Result<ExecResult> r = [&] {
-    if (!ctx.profile()) {
-      return ExecutePreparedImpl(*prep, args, ctx, nullptr, &ev);
-    }
-    QueryProfile profile;
-    return ExecutePreparedImpl(*prep, args, ctx, &profile, &ev);
-  }();
+  Result<ExecResult> r = ExecutePreparedImpl(*prep, args, ctx, nullptr, &ev);
   uint64_t us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -1252,8 +1165,7 @@ Result<ExecResult> Database::ExecuteExplain(const sql::ExplainStmt& stmt,
     QueryProfile profile;
     // The inner run shares the EXPLAIN's audit event: the audit row shows
     // the verdict/probes of the analyzed statement under the EXPLAIN text.
-    Result<ExecResult> run =
-        ExecuteSelectImpl(*stmt.select, ctx, &profile, audit);
+    Result<ExecResult> run = ExecuteSelect(*stmt.select, ctx, &profile, audit);
     if (!run.ok() && run.status().code() != StatusCode::kNotAuthorized) {
       return run.status();
     }
@@ -1721,7 +1633,9 @@ void Database::BootstrapSystemTables() {
       mode varchar, statement varchar, statement_hash varchar,
       verdict varchar, rules varchar, probes bigint, guard_rows bigint,
       guard_bytes bigint, duration_us bigint, status varchar, error varchar,
-      trace_id bigint, from_cache boolean, rows_out bigint);
+      trace_id bigint, from_cache boolean, rows_out bigint,
+      admission_wait_us bigint, validity_us bigint, exec_us bigint,
+      queue_wait_us bigint, run_us bigint, trace varchar, stats varchar);
     create table fgac_spans (
       trace_id bigint, span_id bigint, parent_id bigint, span_name varchar,
       user_name varchar, detail varchar, start_us bigint, duration_us bigint,
@@ -1735,12 +1649,6 @@ void Database::BootstrapSystemTables() {
       phase varchar, elapsed_us bigint, admission_wait_us bigint,
       guard_rows bigint, guard_bytes bigint, pipelines_total bigint,
       pipelines_done bigint, queue_wait_us bigint, run_us bigint);
-    create table fgac_slow_queries (
-      seq bigint, at_ms bigint, user_name varchar, session_id varchar,
-      statement varchar, verdict varchar, status varchar,
-      duration_us bigint, validity_us bigint, exec_us bigint,
-      queue_wait_us bigint, run_us bigint, admission_wait_us bigint,
-      guard_rows bigint, guard_bytes bigint, trace varchar, stats varchar);
     create table fgac_statement_cache (
       shard bigint, entries bigint, hits bigint, misses bigint,
       evictions bigint, invalidations bigint, collisions bigint);
@@ -1752,35 +1660,34 @@ void Database::BootstrapSystemTables() {
       select * from fgac_sessions where user_name = $user-id;
     create authorization view fgac_my_activity as
       select * from fgac_activity where user_name = $user-id;
-    create authorization view fgac_my_slow_queries as
-      select * from fgac_slow_queries where user_name = $user-id;
     create authorization view fgac_audit_all as select * from fgac_audit;
     create authorization view fgac_spans_all as select * from fgac_spans;
     create authorization view fgac_sessions_all as
       select * from fgac_sessions;
     create authorization view fgac_activity_all as
       select * from fgac_activity;
-    create authorization view fgac_slow_queries_all as
-      select * from fgac_slow_queries;
     create authorization view fgac_statement_cache_all as
       select * from fgac_statement_cache;
     grant select on fgac_my_audit to public;
     grant select on fgac_my_spans to public;
     grant select on fgac_my_sessions to public;
     grant select on fgac_my_activity to public;
-    grant select on fgac_my_slow_queries to public;
     grant select on fgac_audit_all to admin;
     grant select on fgac_spans_all to admin;
     grant select on fgac_sessions_all to admin;
     grant select on fgac_activity_all to admin;
-    grant select on fgac_slow_queries_all to admin;
     grant select on fgac_statement_cache_all to admin;
     grant select on fgac_audit_all to auditor;
     grant select on fgac_spans_all to auditor;
     grant select on fgac_sessions_all to auditor;
     grant select on fgac_activity_all to auditor;
-    grant select on fgac_slow_queries_all to auditor;
     grant select on fgac_statement_cache_all to auditor;
+    create view fgac_slow_queries as
+      select seq, at_ms, user_name, session_id, statement, verdict, status,
+             duration_us, validity_us, exec_us, queue_wait_us, run_us,
+             admission_wait_us, guard_rows, guard_bytes, trace, stats
+      from fgac_audit
+      where duration_us >= 1000000 and verdict <> 'stalled';
   )sql";
   Result<std::vector<sql::StmtPtr>> stmts =
       sql::Parser::ParseScript(kBootstrap);
@@ -1803,7 +1710,6 @@ void Database::BootstrapSystemTables() {
   (void)catalog_.SetTrumanView("fgac_spans", "fgac_my_spans");
   (void)catalog_.SetTrumanView("fgac_sessions", "fgac_my_sessions");
   (void)catalog_.SetTrumanView("fgac_activity", "fgac_my_activity");
-  (void)catalog_.SetTrumanView("fgac_slow_queries", "fgac_my_slow_queries");
 }
 
 Status Database::RefreshSystemTables() {
@@ -1819,7 +1725,7 @@ Status Database::RefreshSystemTables() {
       std::vector<Row> rows;
       for (const common::AuditEvent& e : audit_->SnapshotRetained()) {
         Row r;
-        r.reserve(18);
+        r.reserve(25);
         r.push_back(Value::Int(static_cast<int64_t>(e.seq)));
         r.push_back(Value::Int(e.wall_ms));
         r.push_back(Value::String(e.user));
@@ -1838,6 +1744,13 @@ Status Database::RefreshSystemTables() {
         r.push_back(Value::Int(static_cast<int64_t>(e.trace_id)));
         r.push_back(Value::Bool(e.from_cache));
         r.push_back(Value::Int(e.rows_out));
+        r.push_back(Value::Int(static_cast<int64_t>(e.admission_wait_us)));
+        r.push_back(Value::Int(static_cast<int64_t>(e.validity_us)));
+        r.push_back(Value::Int(static_cast<int64_t>(e.exec_us)));
+        r.push_back(Value::Int(static_cast<int64_t>(e.queue_wait_us)));
+        r.push_back(Value::Int(static_cast<int64_t>(e.run_us)));
+        r.push_back(Value::String(e.trace));
+        r.push_back(Value::String(e.stats));
         rows.push_back(std::move(r));
       }
       audit_table->ReplaceAllRows(std::move(rows));
@@ -1906,34 +1819,6 @@ Status Database::RefreshSystemTables() {
       rows.push_back(std::move(r));
     }
     activity_table->ReplaceAllRows(std::move(rows));
-  }
-  storage::TableData* slow_table =
-      state_.GetMutableTable("fgac_slow_queries");
-  if (slow_table != nullptr) {
-    std::vector<Row> rows;
-    for (const SlowQueryRecord& s : slow_log_.Snapshot()) {
-      Row r;
-      r.reserve(17);
-      r.push_back(Value::Int(static_cast<int64_t>(s.seq)));
-      r.push_back(Value::Int(s.wall_ms));
-      r.push_back(Value::String(s.user));
-      r.push_back(Value::String(s.session));
-      r.push_back(Value::String(s.statement));
-      r.push_back(Value::String(s.verdict));
-      r.push_back(Value::String(s.status));
-      r.push_back(Value::Int(static_cast<int64_t>(s.duration_us)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.validity_us)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.exec_us)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.queue_wait_us)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.run_us)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.admission_wait_us)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.guard_rows)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.guard_bytes)));
-      r.push_back(Value::String(s.trace_text));
-      r.push_back(Value::String(s.stats_text));
-      rows.push_back(std::move(r));
-    }
-    slow_table->ReplaceAllRows(std::move(rows));
   }
   storage::TableData* cache_table =
       state_.GetMutableTable("fgac_statement_cache");

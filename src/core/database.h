@@ -19,7 +19,6 @@
 #include "common/result.h"
 #include "common/trace.h"
 #include "core/session_context.h"
-#include "core/slow_query_log.h"
 #include "core/statement_cache.h"
 #include "core/update_auth.h"
 #include "core/validity.h"
@@ -73,9 +72,6 @@ struct QueryProfile {
 
 /// Execution tuning knobs.
 struct DatabaseOptions {
-  /// Run SELECTs through the Volcano optimizer (cheapest plan) instead of
-  /// executing the canonical bound plan directly.
-  bool optimize_execution = true;
   /// Reuse validity verdicts through the statement cache (Section 5.6
   /// optimization).
   bool enable_validity_cache = true;
@@ -102,8 +98,6 @@ struct DatabaseOptions {
   /// Enabled by default: every statement executed through Execute /
   /// ExecuteAsAdmin / ExecuteScript emits one AuditEvent.
   common::AuditOptions audit;
-  /// Bound on retained trace spans (oldest evicted beyond this).
-  size_t trace_retain_spans = common::Tracer::kDefaultRetainSpans;
   /// Process-wide memory budget charged at the real allocation points
   /// (chunk materialization, hash-join builds, columnar snapshots, memo
   /// expansion). soft_limit trips admission-time shedding; hard_limit
@@ -113,14 +107,6 @@ struct DatabaseOptions {
   /// wait queue, load shedding with retry-after hints. Disabled by default
   /// (max_concurrent = 0 admits everything immediately).
   exec::AdmissionOptions admission;
-  /// Size of the shared worker pool, applied once at first Database
-  /// construction (the pool is process-wide). 0 = FGAC_THREADS env var,
-  /// falling back to max(4, hardware_concurrency).
-  size_t shared_pool_threads = 0;
-  /// Slow-query log thresholds (OR-ed) and ring capacity; statements
-  /// crossing any threshold are captured into fgac_slow_queries and
-  /// re-emitted on the audit sink with verdict "slow_query".
-  SlowQueryOptions slow_query;
   /// Stall watchdog: background sampler raising watchdog.* gauges and
   /// "stalled" audit events for statements that exceed N x their deadline
   /// without observable progress.
@@ -251,10 +237,6 @@ class Database {
   common::ActivityRegistry& activity() { return activity_; }
   const common::ActivityRegistry& activity() const { return activity_; }
 
-  /// Captures behind fgac_slow_queries (see DatabaseOptions::slow_query).
-  SlowQueryLog& slow_query_log() { return slow_log_; }
-  const SlowQueryLog& slow_query_log() const { return slow_log_; }
-
   /// The stall watchdog (see DatabaseOptions::watchdog). Tests that want
   /// deterministic sampling construct with watchdog.enabled = false and
   /// call watchdog().SampleOnce() directly.
@@ -262,7 +244,8 @@ class Database {
   const Watchdog& watchdog() const { return *watchdog_; }
 
   /// The security audit log: one event per executed statement, also served
-  /// as the FGAC-governed `fgac_audit` system table.
+  /// as the FGAC-governed `fgac_audit` system table and, filtered to
+  /// statements of 1s or more, the `fgac_slow_queries` view.
   common::AuditLog& audit_log() { return *audit_; }
   const common::AuditLog& audit_log() const { return *audit_; }
 
@@ -281,19 +264,15 @@ class Database {
 
  private:
   /// `audit` (may be null) is the in-flight statement's audit event; the
-  /// SELECT path fills verdict / rules / probes / guard charges into it.
+  /// SELECT path fills verdict / rules / probes / trace id into it.
   Result<ExecResult> ExecuteStmt(const sql::Stmt& stmt,
                                  const SessionContext& ctx,
                                  common::AuditEvent* audit);
+  /// `profile` may be null; see RunSelect.
   Result<ExecResult> ExecuteSelect(const sql::SelectStmt& stmt,
                                    const SessionContext& ctx,
+                                   QueryProfile* profile,
                                    common::AuditEvent* audit);
-  /// `profile` may be null (no profiling). Non-null: trace/stats are
-  /// allocated into it and also attached to the returned ExecResult.
-  Result<ExecResult> ExecuteSelectImpl(const sql::SelectStmt& stmt,
-                                       const SessionContext& ctx,
-                                       QueryProfile* profile,
-                                       common::AuditEvent* audit);
 
   /// Statement-cache identity of one SELECT inside RunSelect: the cache
   /// keys (statement fingerprint and canonical text; session-parameter and
@@ -318,26 +297,17 @@ class Database {
   /// The post-bind SELECT pipeline: guard + admission, then the
   /// enforcement switch (None / Truman / Non-Truman with caching), then
   /// optimized parallel execution. `plan` is fully concrete (no open
-  /// placeholders). RunSelect wraps RunSelectImpl with wall-clock timing
-  /// and the slow-query capture on every exit path.
+  /// placeholders). Validity and execution time are stamped on the
+  /// statement's activity record. Trace and stats are collected into
+  /// `profile` when given (EXPLAIN ANALYZE keeps them after a failure),
+  /// else into a local profile when the session profiles, and attached to
+  /// the returned ExecResult; either way they are rendered into `audit`
+  /// on every exit path.
   Result<ExecResult> RunSelect(const algebra::PlanPtr& plan,
                                const SessionContext& ctx,
                                QueryProfile* profile,
                                common::AuditEvent* audit,
                                const PreparedRun* prep);
-  Result<ExecResult> RunSelectImpl(const algebra::PlanPtr& plan,
-                                   const SessionContext& ctx,
-                                   QueryProfile* profile,
-                                   common::AuditEvent* audit,
-                                   const PreparedRun* prep);
-
-  /// Slow-query log admission for one finished statement (no-op unless a
-  /// threshold tripped). Also re-emits the capture as an audit event with
-  /// verdict "slow_query".
-  void MaybeCaptureSlowQuery(const SessionContext& ctx, QueryProfile* profile,
-                             const common::AuditEvent* audit,
-                             const Result<ExecResult>& r,
-                             uint64_t duration_us);
 
   Result<ExecResult> ExecutePreparedImpl(PreparedStatement& prep,
                                          const std::vector<sql::ExprPtr>& args,
@@ -367,9 +337,9 @@ class Database {
   Result<ExecResult> ApplyAuthorize(const sql::AuthorizeStmt& stmt);
   Result<ExecResult> ApplyDrop(const sql::DropStmt& stmt);
 
-  /// Optimizes (optionally) and executes a plan through the morsel-driven
-  /// parallel executor (serial when the resolved parallelism is 1).
-  /// `guard` (may be null) limits the execution.
+  /// Optimizes and executes a plan through the morsel-driven parallel
+  /// executor (serial when the resolved parallelism is 1). `guard` (may be
+  /// null) limits the execution.
   Result<storage::Relation> RunPlan(const algebra::PlanPtr& plan,
                                     const SessionContext& ctx,
                                     common::QueryGuard* guard,
@@ -377,20 +347,22 @@ class Database {
                                     const common::TraceContext* trace = nullptr);
 
   /// Stamps duration / status / error / rows_out / default verdict into
-  /// `ev` and appends it to the audit log (no-op when auditing is off).
+  /// `ev`, copies the phase split and guard charges from the statement's
+  /// activity record, and appends it to the audit log (no-op when auditing
+  /// is off).
   void FinishAudit(common::AuditEvent* ev, const Status& st, int64_t rows_out,
                    std::chrono::steady_clock::time_point t0);
 
   /// Creates the fgac_ system tables (audit, spans, sessions, activity,
-  /// slow queries, statement cache), their per-user and admin/auditor
-  /// authorization views, grants and Truman views. Runs once in the
-  /// constructor, before auditing starts.
+  /// statement cache), their per-user and admin/auditor authorization
+  /// views, grants and Truman views, and the fgac_slow_queries view over
+  /// fgac_audit. Runs once in the constructor, before auditing starts.
   void BootstrapSystemTables();
 
   /// Re-materializes the fgac_ system tables from their live sources (the
   /// audit log's retained tail, the tracer's span buffer, the activity
-  /// registry, the slow-query ring, the statement-cache shards). Caller
-  /// holds system_tables_mu_. Fails only under fault injection
+  /// registry, the statement-cache shards). Caller holds
+  /// system_tables_mu_. Fails only under fault injection
   /// ("introspect.snapshot").
   Status RefreshSystemTables();
 
@@ -421,8 +393,6 @@ class Database {
   common::Tracer tracer_;
   /// Sessions + in-flight statements (fgac_sessions / fgac_activity).
   common::ActivityRegistry activity_;
-  /// Slow-statement ring (fgac_slow_queries).
-  SlowQueryLog slow_log_{options_.slow_query};
   /// Constructed after BootstrapSystemTables so bootstrap DDL is not
   /// audited; null only during construction.
   std::unique_ptr<common::AuditLog> audit_;

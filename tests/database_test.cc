@@ -14,7 +14,6 @@ using core::Database;
 using core::EnforcementMode;
 using core::SessionContext;
 using fgac::testing::CreateUniversityViews;
-using fgac::testing::MustQueryAdmin;
 using fgac::testing::SetupUniversity;
 
 class DatabaseTest : public ::testing::Test {
@@ -150,14 +149,6 @@ TEST_F(DatabaseTest, DdlMessagesAreInformative) {
   auto r = db_.ExecuteAsAdmin("create table msgs (x int)");
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r.value().message.find("msgs"), std::string::npos);
-}
-
-TEST_F(DatabaseTest, OptimizerlessExecutionPathWorks) {
-  db_.options().optimize_execution = false;
-  auto rel = MustQueryAdmin(
-      &db_, "select s.name from students s, grades g "
-            "where s.student-id = g.student-id and g.grade = 4.0");
-  EXPECT_EQ(rel.num_rows(), 1u);
 }
 
 TEST_F(DatabaseTest, SessionParamsReachViews) {

@@ -485,7 +485,7 @@ TEST_F(DatabaseMetricsTest, ExportGaugeKeySetIsPinned) {
       "scheduler.pipelines_completed", "scheduler.task_queue_wait_us",
       "scheduler.task_run_us", "scheduler.tasks_dispatched",
       "sessions.open", "sessions.statements_active",
-      "sessions.statements_begun", "slow_query.captured",
+      "sessions.statements_begun",
       "statement_cache.collisions", "statement_cache.entries",
       "statement_cache.evictions", "statement_cache.hits",
       "statement_cache.invalidations", "statement_cache.misses",

@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/query_guard.h"
 #include "core/database.h"
+#include "server/connection_manager.h"
 #include "tests/test_util.h"
 
 namespace fgac {
@@ -248,6 +251,81 @@ TEST_F(SystemTablesTest, SpansTableServesTracedStatements) {
   for (const Row& row : own.value().relation.rows()) {
     EXPECT_EQ(row[0], Value::String("12"));
   }
+}
+
+TEST_F(SystemTablesTest, EveryStatementLeavesOneAuditEventAndOneActivity) {
+  const uint64_t emitted = db_.audit_log().events_emitted();
+  const uint64_t begun = db_.activity().statements_begun();
+  SessionContext ctx = Student("11", EnforcementMode::kNonTruman);
+  const std::string q = "select grade from grades where student-id = '11'";
+  ASSERT_TRUE(db_.Execute(q, ctx).ok());
+  ASSERT_TRUE(db_.ExecuteScript("insert into courses values ('cs9', 'x');"
+                                "select * from courses")
+                  .ok());
+  server::ConnectionManager cm(db_);
+  auto s = cm.Open("11", EnforcementMode::kNonTruman);
+  ASSERT_TRUE(
+      s->Execute("prepare mine as select grade from grades "
+                 "where student-id = $1")
+          .ok());
+  ASSERT_TRUE(s->Execute("execute mine ('11')").ok());
+  ASSERT_TRUE(db_.Execute("explain analyze " + q, ctx).ok());
+  cm.CloseAll();
+  constexpr uint64_t kStatements = 6;
+  EXPECT_EQ(db_.audit_log().events_emitted(), emitted + kStatements);
+  EXPECT_EQ(db_.activity().statements_begun(), begun + kStatements);
+
+  // The phase split fits inside the statement's duration, profiled or not.
+  storage::Relation rows = MustQueryAdmin(
+      &db_, "select statement, duration_us, validity_us, exec_us "
+            "from fgac_audit");
+  int runs = 0;
+  int64_t exec_total = 0;
+  for (const Row& row : rows.rows()) {
+    std::string text = row[0].string_value();
+    std::transform(text.begin(), text.end(), text.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    if (text.rfind("select", 0) != 0 && text.rfind("execute", 0) != 0 &&
+        text.rfind("explain", 0) != 0) {
+      continue;
+    }
+    ++runs;
+    exec_total += row[3].int_value();
+    EXPECT_LE(row[2].int_value() + row[3].int_value(), row[1].int_value())
+        << text;
+  }
+  EXPECT_EQ(runs, 4);
+  EXPECT_GT(exec_total, 0);
+}
+
+TEST_F(SystemTablesTest, ProfiledStatementsCarryTraceAndStats) {
+  SessionContext ctx = Student("11", EnforcementMode::kNonTruman);
+  ASSERT_TRUE(
+      db_.Execute("select course-id from grades where student-id = '11'", ctx)
+          .ok());
+  ctx.set_profile(true);
+  ASSERT_TRUE(
+      db_.Execute("select grade from grades where student-id = '11'", ctx)
+          .ok());
+  ASSERT_FALSE(db_.Execute("select * from grades", ctx).ok());
+
+  storage::Relation rows = MustQueryAdmin(
+      &db_, "select verdict, trace, stats from fgac_audit "
+            "where user_name = '11'");
+  ASSERT_EQ(rows.num_rows(), 3u);
+  // Unprofiled: no rendered text.
+  EXPECT_EQ(rows.rows()[0][1], Value::String(""));
+  EXPECT_EQ(rows.rows()[0][2], Value::String(""));
+  // Profiled: the validity trace ends in its verdict, and the executed
+  // plan's operator stats are rendered.
+  EXPECT_NE(rows.rows()[1][1].string_value().find("verdict"),
+            std::string::npos);
+  EXPECT_FALSE(rows.rows()[1][2].string_value().empty());
+  // A rejection keeps the trace of why, though nothing executed.
+  EXPECT_EQ(rows.rows()[2][0], Value::String("rejected"));
+  EXPECT_NE(rows.rows()[2][1].string_value().find("verdict"),
+            std::string::npos);
+  EXPECT_EQ(rows.rows()[2][2], Value::String(""));
 }
 
 TEST_F(SystemTablesTest, AuditTableSeesEventsFromTheSameSessionPromptly) {
