@@ -7,7 +7,7 @@
 // validity checks on every statement, auditing on — the production
 // configuration). Each query decomposes into a small pipeline DAG
 // (parallelism 2), so at N > 1 the DAGs of different sessions interleave
-// on the one shared work-stealing pool.
+// on the one shared pool, whose queue is session-fair.
 //
 // Reported per client count: aggregate throughput (qps) plus p50/p95/p99
 // per-query latency from a power-of-two histogram — the scheduler's

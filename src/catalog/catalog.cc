@@ -11,6 +11,7 @@ Status Catalog::AddTable(TableSchema schema) {
   }
   std::string name = schema.name();
   tables_.emplace(std::move(name), std::move(schema));
+  BumpPolicyEpoch();
   return Status::OK();
 }
 
@@ -18,6 +19,7 @@ Status Catalog::DropTable(const std::string& name) {
   if (tables_.erase(name) == 0) {
     return Status::CatalogError("table '" + name + "' does not exist");
   }
+  BumpPolicyEpoch();
   return Status::OK();
 }
 
@@ -95,6 +97,7 @@ Status Catalog::AddConstraint(InclusionDependency dep) {
     }
   }
   constraints_.push_back(std::move(dep));
+  BumpPolicyEpoch();
   return Status::OK();
 }
 

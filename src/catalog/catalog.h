@@ -82,14 +82,12 @@ class Catalog {
   const std::string& TrumanViewFor(const std::string& table) const;
 
   // --- Policy epoch --------------------------------------------------------
-  /// Monotonic counter covering every authorization-relevant mutation:
-  /// view DDL, grants/revokes, role membership, Truman-view bindings and
-  /// principal creation. Cached enforcement decisions (validity verdicts,
-  /// rewritten plans) carry the epoch they were computed under and are
-  /// discarded on mismatch — fail-closed, so a verdict can never outlive
-  /// the policy that produced it. Distinct from the Database's
-  /// catalog_version, which also advances on table DDL that cannot change
-  /// an authorization decision by itself.
+  /// Monotonic counter covering every catalog mutation: table, view and
+  /// constraint DDL, grants/revokes, role membership, Truman-view bindings
+  /// and principal creation. Cached enforcement decisions (bound plans,
+  /// validity verdicts, rewritten plans) carry the epoch they were computed
+  /// under and are discarded on mismatch — fail-closed, so a verdict can
+  /// never outlive the catalog state that produced it.
   uint64_t policy_epoch() const {
     return policy_epoch_.load(std::memory_order_acquire);
   }

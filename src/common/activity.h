@@ -46,7 +46,7 @@ struct DagProgress {
   std::atomic<uint64_t> sets_total{0};
   std::atomic<uint64_t> sets_done{0};
   /// Wall-time attribution per task: time between a task entering the
-  /// fair queue and a worker popping it vs time spent running the task.
+  /// pool's queue and a worker popping it vs time spent running the task.
   std::atomic<uint64_t> queue_wait_us{0};
   std::atomic<uint64_t> run_us{0};
 };

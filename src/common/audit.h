@@ -58,7 +58,7 @@ struct AuditEvent {
   int64_t rows_out = 0;
   /// Where the time went, copied from the statement's activity record:
   /// admission-queue wait, validity check, execution, and the pipeline
-  /// tasks' fair-queue wait and run time (summed across tasks).
+  /// tasks' pool-queue wait and run time (summed across tasks).
   uint64_t admission_wait_us = 0;
   uint64_t validity_us = 0;
   uint64_t exec_us = 0;

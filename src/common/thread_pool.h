@@ -7,35 +7,61 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 namespace fgac::common {
 
-/// A fixed-size work-stealing thread pool: one bounded-contention deque per
-/// worker plus a global injection queue for external submitters. Workers
-/// prefer their own deque (LIFO, so follow-up work stays cache-warm), then
-/// the global queue, then steal from peers (FIFO, so they take the oldest —
-/// coldest — work). Each deque is guarded by its own small mutex rather
-/// than a lock-free structure: steals are rare enough that the mutex never
-/// shows up in profiles, and TSan can verify the whole pool.
+/// Weighted-round-robin multiplexer of queued tasks across sessions — the
+/// fairness core of the ThreadPool, standalone so its order is
+/// unit-testable without threads. Push enqueues a task under its session;
+/// Pop releases tasks in WRR order: each rotation visit grants a session up
+/// to `weight` consecutive tasks, then moves to the next session with work.
+/// One session flooding the queue therefore delays its own tasks, not
+/// other sessions'.
 ///
-/// A task submitted from a pool worker lands on that worker's own deque;
-/// peers pick it up by stealing. This is what lets the pipeline scheduler
-/// (exec/scheduler.h) enqueue newly-runnable pipelines from completion
-/// handlers without a dedicated dispatcher thread.
+/// Not synchronized: the pool guards its one instance with its mutex. Pop
+/// returns false only when empty.
+class FairTaskQueue {
+ public:
+  void Push(uint64_t session, uint32_t weight, std::function<void()> task);
+  bool Pop(std::function<void()>* out);
+  size_t size() const { return size_; }
+  /// Sessions currently holding queued tasks.
+  size_t sessions_active() const { return sessions_.size(); }
+
+ private:
+  struct SessionQueue {
+    std::deque<std::function<void()>> tasks;
+    uint32_t weight = 1;
+    /// Tasks still grantable in the current rotation visit.
+    uint32_t credits = 0;
+  };
+
+  std::unordered_map<uint64_t, SessionQueue> sessions_;
+  /// Visit order; the front session is the current grantee.
+  std::deque<uint64_t> rotation_;
+  size_t size_ = 0;
+};
+
+/// A fixed-size thread pool whose one queue is a FairTaskQueue: workers
+/// pop tasks in weighted-round-robin order across submitting sessions, so
+/// concurrent sessions share workers by weight instead of by arrival
+/// order. One mutex and one condition variable guard the queue; a worker
+/// runs each task outside the lock.
 ///
 /// Tasks must never BLOCK on another task's completion (the pool has no
 /// nested-wait support); submitting follow-up work and returning is fine,
 /// submitting and waiting is not. The pipeline scheduler satisfies this by
 /// construction: pipeline tasks only decrement dependency counters and
-/// enqueue; the only blocking wait is on the query's caller thread, which
+/// submit; the only blocking wait is on the query's caller thread, which
 /// is never a pool worker.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
+  /// Runs every queued task, then joins the workers.
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -47,35 +73,23 @@ class ThreadPool {
     return tasks_run_.load(std::memory_order_relaxed);
   }
 
-  /// Tasks a worker took from a peer's deque rather than its own or the
-  /// global queue. A nonzero value is proof the stealing path is live; a
-  /// value rivaling tasks_run() means submitters and executors are
-  /// chronically different threads.
-  uint64_t tasks_stolen() const {
-    return tasks_stolen_.load(std::memory_order_relaxed);
-  }
-
-  /// Deepest the pool's pending-task count has ever been (submitted, not
-  /// yet claimed, across the global queue and every worker deque). A
+  /// Deepest the queue has ever been (submitted, not yet popped). A
   /// persistent high-water near the total task count means the pool is
   /// saturated and submissions are piling up.
   uint64_t queue_depth_high_water() const {
     return queue_high_water_.load(std::memory_order_relaxed);
   }
 
-  /// Currently pending (submitted, not yet claimed) tasks. Approximate by
-  /// nature — it changes under the caller's feet — but exact when quiesced.
-  size_t queue_depth() const { return pending_.load(std::memory_order_relaxed); }
+  /// Currently queued (submitted, not yet popped) tasks.
+  size_t queue_depth() const;
+  /// Sessions with tasks queued right now.
+  size_t sessions_active() const;
 
-  /// Enqueues one task for asynchronous execution. Callable from any
-  /// thread, including pool workers (whose tasks go to their own deque).
-  void Submit(std::function<void()> task);
-
-  /// Runs all tasks and returns when every one has finished. The calling
-  /// thread does not execute tasks; it blocks on a completion latch, so it
-  /// must not itself be a pool worker (nested wait) and the pool must have
-  /// at least one worker (the constructor guarantees it).
-  void RunAll(std::vector<std::function<void()>> tasks);
+  /// Enqueues one task under `session` (0 = the shared anonymous bucket)
+  /// with WRR `weight` and wakes one worker. Callable from any thread,
+  /// including pool workers.
+  void Submit(std::function<void()> task, uint64_t session = 0,
+              uint32_t weight = 1);
 
   /// Process-wide pool sized for the host (at least 4 threads so that
   /// multi-threaded execution paths are genuinely concurrent — and
@@ -85,28 +99,13 @@ class ThreadPool {
   static ThreadPool& Shared();
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> dq;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(size_t self);
-
-  /// Own deque (back) -> global queue (front) -> steal (peer front).
-  bool TryGetTask(size_t self, std::function<void()>* out);
-
-  void NotePending(size_t depth);
-
-  std::vector<std::unique_ptr<WorkerQueue>> local_;
-  /// Guards the global queue and the sleep predicate; pending_ is bumped
-  /// under it so sleepers cannot miss a wakeup.
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable wake_;
-  std::deque<std::function<void()>> global_;
+  FairTaskQueue queue_;
   bool shutdown_ = false;
-  std::atomic<size_t> pending_{0};
   std::atomic<uint64_t> tasks_run_{0};
-  std::atomic<uint64_t> tasks_stolen_{0};
   std::atomic<uint64_t> queue_high_water_{0};
   std::vector<std::thread> workers_;
 };

@@ -167,8 +167,7 @@ Database::Database(DatabaseOptions options)
   watchdog_ =
       std::make_unique<Watchdog>(options_.watchdog, &activity_, &metrics_);
   watchdog_->AddProbe("watchdog.scheduler_queue_depth", [] {
-    return static_cast<int64_t>(
-        exec::PipelineScheduler::Shared().fair_queue_depth());
+    return static_cast<int64_t>(common::ThreadPool::Shared().queue_depth());
   });
   watchdog_->AddProbe("watchdog.admission_queue_depth", [this] {
     return static_cast<int64_t>(admission_->queue_depth());
@@ -316,7 +315,6 @@ Result<ExecResult> Database::ExecuteStmt(const sql::Stmt& stmt,
     case sql::StmtKind::kRevoke: {
       const auto& s = static_cast<const sql::RevokeStmt&>(stmt);
       FGAC_RETURN_NOT_OK(catalog_.RevokeView(s.object, s.grantee));
-      ++catalog_version_;
       ExecResult out;
       out.message = "revoked " + s.object + " from " + s.grantee;
       return out;
@@ -409,8 +407,6 @@ void Database::RefreshExportGauges() {
   metrics_.gauge("thread_pool.tasks_run").Set(pool.tasks_run());
   metrics_.gauge("thread_pool.queue_depth_high_water")
       .Set(pool.queue_depth_high_water());
-  metrics_.gauge("thread_pool.tasks_stolen")
-      .Set(static_cast<int64_t>(pool.tasks_stolen()));
   metrics_.gauge("thread_pool.queue_depth")
       .Set(static_cast<int64_t>(pool.queue_depth()));
   exec::PipelineScheduler& sched = exec::PipelineScheduler::Shared();
@@ -422,10 +418,8 @@ void Database::RefreshExportGauges() {
       .Set(static_cast<int64_t>(sched.pipelines_completed()));
   metrics_.gauge("scheduler.pipelines_cancelled")
       .Set(static_cast<int64_t>(sched.pipelines_cancelled()));
-  metrics_.gauge("scheduler.fair_queue_depth")
-      .Set(static_cast<int64_t>(sched.fair_queue_depth()));
   metrics_.gauge("scheduler.fair_sessions_active")
-      .Set(static_cast<int64_t>(sched.fair_sessions_active()));
+      .Set(static_cast<int64_t>(pool.sessions_active()));
   metrics_.gauge("memory.used").Set(static_cast<int64_t>(tracker_.used()));
   metrics_.gauge("memory.high_water")
       .Set(static_cast<int64_t>(tracker_.high_water()));
@@ -603,8 +597,7 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
     }
   } completion_capture{guard, act, profile, audit};
 
-  // Admission control happens after binding (the cost estimate needs the
-  // plan's base tables) but BEFORE any heavy work and before the system-
+  // Admission control happens BEFORE any heavy work and before the system-
   // table lock: a queued query holding system_tables_mu_ while admitted
   // queries block on it would deadlock the slot/lock pair. The ticket's
   // scope spans validity checking and execution.
@@ -612,12 +605,6 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
   {
     exec::AdmissionRequest req;
     if (limits.has_timeout()) req.deadline = Clock::now() + limits.timeout;
-    double cost = 0.0;
-    for (const std::string& t : CollectBaseTables(plan)) {
-      const storage::TableData* td = state_.GetTable(t);
-      if (td != nullptr) cost += static_cast<double>(td->num_rows());
-    }
-    req.cost = std::max(1.0, cost);
     req.guard = &guard;
     auto admit_t0 = Clock::now();
     Status admitted = admission_->Admit(req, &admission_ticket);
@@ -662,7 +649,7 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
         // per (principal, statement, session params) and only the cheap
         // placeholder substitution runs per call.
         StatementCache::Key key{ctx.user(), prep->stmt_fp, *prep->text,
-                                catalog_version(), policy_epoch()};
+                                policy_epoch()};
         PlanPtr rewritten = stmt_cache_.LookupTrumanPlan(key, prep->params_fp);
         out.truman_plan_from_cache = rewritten != nullptr;
         if (out.truman_plan_from_cache && act != nullptr) act->NoteCacheHit();
@@ -693,11 +680,10 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
       // (fingerprint, exact text and argument values) and the full session
       // parameterization (a $term or $user-location change re-instantiates
       // the views). It is read once, before the check, so a verdict is
-      // stored under the catalog version, policy epoch and data version it
-      // was computed against: a change racing the check leaves it stale,
-      // never fresh.
+      // stored under the policy epoch and data version it was computed
+      // against: a change racing the check leaves it stale, never fresh.
       const StatementCache::Key key{ctx.user(), prep->stmt_fp, *prep->text,
-                                    catalog_version(), policy_epoch()};
+                                    policy_epoch()};
       const uint64_t checked_data_version = data_version();
       bool cached = options_.enable_validity_cache &&
                     stmt_cache_.LookupVerdict(key, prep->exec_fp,
@@ -894,7 +880,6 @@ Result<std::shared_ptr<PreparedStatement>> Database::Prepare(
     }
     prep->plan = plan;
     prep->plan_fp = algebra::PlanFingerprint(plan);
-    prep->catalog_version = catalog_version();
     prep->policy_epoch = policy_epoch();
     prep->session_params_fp = SessionParamsFingerprint(ctx);
     metrics_.counter("prepared.prepares").Increment();
@@ -967,18 +952,17 @@ Result<ExecResult> Database::ExecutePreparedImpl(
     run.args.push_back(std::move(v));
   }
 
-  // Revalidate the bind-state cache: any catalog / policy / session-param
-  // change since the last execution forces a rebind (fail-closed; the
-  // verdict and rewrite caches key on the versions too, so their stale
-  // entries die with it).
+  // Revalidate the bind-state cache: any catalog or session-param change
+  // since the last execution forces a rebind (fail-closed; the verdict and
+  // rewrite caches key on the epoch too, so their stale entries die with
+  // it).
   PlanPtr parameterized;
   uint64_t stmt_fp = 0;
   {
     std::lock_guard<std::mutex> lock(prep.mu);
-    uint64_t cv = catalog_version();
     uint64_t pe = policy_epoch();
-    if (prep.plan == nullptr || prep.catalog_version != cv ||
-        prep.policy_epoch != pe || prep.session_params_fp != params_fp) {
+    if (prep.plan == nullptr || prep.policy_epoch != pe ||
+        prep.session_params_fp != params_fp) {
       algebra::Binder::Options options;
       options.params = ctx.params();
       options.defer_unbound_params = true;
@@ -986,7 +970,6 @@ Result<ExecResult> Database::ExecutePreparedImpl(
       FGAC_ASSIGN_OR_RETURN(PlanPtr plan, binder.BindSelect(*prep.select));
       prep.plan = std::move(plan);
       prep.plan_fp = algebra::PlanFingerprint(prep.plan);
-      prep.catalog_version = cv;
       prep.policy_epoch = pe;
       prep.session_params_fp = params_fp;
       metrics_.counter("prepared.rebinds").Increment();
@@ -1517,7 +1500,6 @@ Result<ExecResult> Database::ApplyCreateTable(const sql::CreateTableStmt& stmt) 
     }
     FGAC_RETURN_NOT_OK(catalog_.AddConstraint(std::move(dep)));
   }
-  ++catalog_version_;
   ExecResult out;
   out.message = "created table " + stmt.name;
   return out;
@@ -1541,7 +1523,6 @@ Result<ExecResult> Database::ApplyCreateView(const sql::CreateViewStmt& stmt) {
   view.parameters = std::move(params);
   view.access_parameters = std::move(access);
   FGAC_RETURN_NOT_OK(catalog_.AddView(std::move(view)));
-  ++catalog_version_;
   ExecResult out;
   out.message = std::string("created ") +
                 (stmt.authorization ? "authorization view " : "view ") +
@@ -1560,7 +1541,6 @@ Result<ExecResult> Database::ApplyCreateInclusion(
   dep.dst_table = stmt.dst_table;
   dep.dst_columns = stmt.dst_columns;
   FGAC_RETURN_NOT_OK(catalog_.AddConstraint(std::move(dep)));
-  ++catalog_version_;
   ExecResult out;
   out.message = "created inclusion dependency " + stmt.name;
   return out;
@@ -1568,7 +1548,6 @@ Result<ExecResult> Database::ApplyCreateInclusion(
 
 Result<ExecResult> Database::ApplyGrant(const sql::GrantStmt& stmt) {
   FGAC_RETURN_NOT_OK(catalog_.GrantView(stmt.object, stmt.grantee));
-  ++catalog_version_;
   ExecResult out;
   out.message = "granted " + stmt.object + " to " + stmt.grantee;
   return out;
@@ -1599,7 +1578,6 @@ Result<ExecResult> Database::ApplyAuthorize(const sql::AuthorizeStmt& stmt) {
   // The principal mutation happened outside the catalog's own setters;
   // record it so cached update-authorization decisions cannot go stale.
   catalog_.BumpPolicyEpoch();
-  ++catalog_version_;
   ExecResult out;
   out.message = "authorization rule added on " + stmt.table;
   return out;
@@ -1616,7 +1594,6 @@ Result<ExecResult> Database::ApplyDrop(const sql::DropStmt& stmt) {
   } else {
     FGAC_RETURN_NOT_OK(catalog_.DropView(stmt.name));
   }
-  ++catalog_version_;
   ExecResult out;
   out.message = "dropped " + stmt.name;
   return out;

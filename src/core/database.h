@@ -191,12 +191,10 @@ class Database {
   /// same object as statement_cache().
   StatementCache& validity_cache() { return stmt_cache_; }
   StatementCache& statement_cache() { return stmt_cache_; }
-  uint64_t catalog_version() const {
-    return catalog_version_.load(std::memory_order_acquire);
-  }
   /// The catalog's policy epoch (see catalog::Catalog::policy_epoch):
-  /// advances on any view / grant / role / Truman-binding / principal
-  /// change and fail-closed-invalidates every cached enforcement decision.
+  /// advances on any table / view / constraint / grant / role /
+  /// Truman-binding / principal change and fail-closed-invalidates every
+  /// cached enforcement decision.
   uint64_t policy_epoch() const { return catalog_.policy_epoch(); }
   /// Data version behind cached conditional verdicts. Derived from the
   /// storage layer's per-table mutation counters, so direct TableData
@@ -386,9 +384,6 @@ class Database {
   catalog::Catalog catalog_;
   storage::DatabaseState state_;
   StatementCache stmt_cache_;
-  /// Atomic: advanced by DDL on one session while others read it for
-  /// cache-freshness checks.
-  std::atomic<uint64_t> catalog_version_{1};
   common::MetricsRegistry metrics_;
   common::Tracer tracer_;
   /// Sessions + in-flight statements (fgac_sessions / fgac_activity).

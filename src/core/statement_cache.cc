@@ -45,8 +45,7 @@ StatementCache::Entry* StatementCache::FindFresh(Shard& shard,
   auto it = shard.entries.find(entry_key);
   if (it == shard.entries.end()) return nullptr;
   Entry& entry = it->second;
-  if (entry.catalog_version != key.catalog_version ||
-      entry.policy_epoch != key.policy_epoch) {
+  if (entry.policy_epoch != key.policy_epoch) {
     // Fail-closed: anything cached under an older policy state is
     // discarded wholesale and enforcement re-runs from scratch.
     invalidations_.fetch_add(1, std::memory_order_relaxed);
@@ -70,8 +69,7 @@ StatementCache::Entry& StatementCache::UpsertEntry(Shard& shard,
   auto it = shard.entries.find(entry_key);
   if (it != shard.entries.end()) {
     Entry& entry = it->second;
-    if (entry.catalog_version != key.catalog_version ||
-        entry.policy_epoch != key.policy_epoch || entry.user != key.user ||
+    if (entry.policy_epoch != key.policy_epoch || entry.user != key.user ||
         entry.text != key.text) {
       // Stale epoch or a fingerprint collision: start the entry over
       // rather than mixing variants computed under different premises.
@@ -79,7 +77,6 @@ StatementCache::Entry& StatementCache::UpsertEntry(Shard& shard,
       entry.verdicts.clear();
       entry.user = key.user;
       entry.text = key.text;
-      entry.catalog_version = key.catalog_version;
       entry.policy_epoch = key.policy_epoch;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_pos);
@@ -95,7 +92,6 @@ StatementCache::Entry& StatementCache::UpsertEntry(Shard& shard,
   Entry& entry = shard.entries[entry_key];
   entry.user = key.user;
   entry.text = key.text;
-  entry.catalog_version = key.catalog_version;
   entry.policy_epoch = key.policy_epoch;
   entry.lru_pos = shard.lru.begin();
   return entry;

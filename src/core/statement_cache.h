@@ -25,9 +25,8 @@ namespace fgac::core {
 /// EXECUTE keeps the object alive and drains cleanly.
 ///
 /// The bind state under `mu` is a cache: ExecutePrepared revalidates it
-/// against the current catalog version / policy epoch / session-parameter
-/// fingerprint and rebinds on any mismatch (fail-closed — a stale plan is
-/// never executed).
+/// against the current policy epoch / session-parameter fingerprint and
+/// rebinds on any mismatch (fail-closed — a stale plan is never executed).
 struct PreparedStatement {
   std::string name;
   /// Canonical SQL of the body (printer-rendered), the full-text tiebreak
@@ -41,7 +40,6 @@ struct PreparedStatement {
   std::mutex mu;
   algebra::PlanPtr plan;  // parameterized: placeholders still unbound
   uint64_t plan_fp = 0;
-  uint64_t catalog_version = 0;
   uint64_t policy_epoch = 0;
   uint64_t session_params_fp = 0;
 };
@@ -68,10 +66,10 @@ struct PreparedStatement {
 ///     their constants are in the text.
 ///
 /// Invalidation is fail-closed and two-level. The entry records the
-/// catalog version and the catalog's policy epoch it was built under; a
-/// lookup under any newer version/epoch erases the whole entry and
-/// re-runs enforcement. Data-sensitive verdicts (conditional or rejected)
-/// additionally record the data version and are dropped when it advances.
+/// catalog's policy epoch it was built under; a lookup under any other
+/// epoch erases the whole entry and re-runs enforcement. Data-sensitive
+/// verdicts (conditional or rejected) additionally record the data version
+/// and are dropped when it advances.
 /// Verdicts reached with the probe budget exhausted are never inserted.
 ///
 /// Shard layout: kShards fixed shards, each a mutex + hash map + LRU list.
@@ -95,7 +93,6 @@ class StatementCache {
     const std::string& user;
     uint64_t stmt_fp;
     const std::string& text;
-    uint64_t catalog_version;
     uint64_t policy_epoch;
   };
 
@@ -122,8 +119,8 @@ class StatementCache {
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  /// Entries discarded because their catalog version or policy epoch was
-  /// stale (the fail-closed path).
+  /// Entries discarded because their policy epoch was stale (the
+  /// fail-closed path).
   uint64_t invalidations() const {
     return invalidations_.load(std::memory_order_relaxed);
   }
@@ -157,7 +154,6 @@ class StatementCache {
   struct Entry {
     std::string user;
     std::string text;
-    uint64_t catalog_version = 0;
     uint64_t policy_epoch = 0;
     std::map<uint64_t, algebra::PlanPtr> truman_plans;
     std::map<uint64_t, CachedVerdict> verdicts;

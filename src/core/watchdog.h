@@ -33,7 +33,7 @@ struct WatchdogOptions {
 
 /// Background sampler behind the watchdog.* gauges: every interval it
 /// walks the in-flight statements of the ActivityRegistry, runs the
-/// registered depth probes (scheduler fair-queue depth, admission queue
+/// registered depth probes (pool queue depth, admission queue
 /// depth, ...), and flags statements that exceeded N x their deadline
 /// without progress. A stall is reported at most once per statement via
 /// the on_stall callback (the Database turns it into an audit event).

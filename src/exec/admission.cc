@@ -19,16 +19,6 @@ constexpr std::chrono::milliseconds kCancelPoll{20};
 
 }  // namespace
 
-const char* ShedPolicyName(ShedPolicy policy) {
-  switch (policy) {
-    case ShedPolicy::kShedNewest:
-      return "ShedNewest";
-    case ShedPolicy::kShedByCost:
-      return "ShedByCost";
-  }
-  return "Unknown";
-}
-
 AdmissionOptions AdmissionOptions::Resolved() const {
   AdmissionOptions out = *this;
   if (const char* env = std::getenv("FGAC_ADMISSION_QUEUE")) {
@@ -118,30 +108,11 @@ Status AdmissionController::Admit(const AdmissionRequest& request,
     if (w->state == WaitState::kWaiting) ++waiting;
   }
   if (waiting >= options_.max_queue) {
-    if (options_.shed_policy == ShedPolicy::kShedByCost) {
-      // Evict the priciest waiter if the arrival is cheaper than it.
-      std::shared_ptr<Waiter> priciest;
-      for (const auto& w : queue_) {
-        if (w->state != WaitState::kWaiting) continue;
-        if (priciest == nullptr || w->cost > priciest->cost) priciest = w;
-      }
-      if (priciest != nullptr && request.cost < priciest->cost) {
-        priciest->state = WaitState::kShed;
-        shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-        wake_.notify_all();
-        // Fall through: the arrival takes the evicted slot in the queue.
-      } else {
-        shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-        return ShedStatus("admission queue full", RetryAfterMsLocked());
-      }
-    } else {
-      shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-      return ShedStatus("admission queue full", RetryAfterMsLocked());
-    }
+    shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
+    return ShedStatus("admission queue full", RetryAfterMsLocked());
   }
 
   auto self = std::make_shared<Waiter>();
-  self->cost = request.cost;
   queue_.push_back(self);
   Clock::time_point enqueued_at = Clock::now();
   // Every exit from the wait loop below accounts the time spent queued.
@@ -176,21 +147,20 @@ Status AdmissionController::Admit(const AdmissionRequest& request,
       case WaitState::kAdmitted:
         *out = AdmissionTicket(this, Clock::now());
         return Status::OK();
-      case WaitState::kShed:
-        return ShedStatus("admission queue full", RetryAfterMsLocked());
       case WaitState::kShutdown:
         return Status::Cancelled(
             "query cancelled: admission controller shut down");
       case WaitState::kWaiting:
+      case WaitState::kLeft:
         break;
     }
     if (request.deadline.has_value() && Clock::now() >= *request.deadline) {
-      self->state = WaitState::kShed;  // tombstone; no slot was granted
+      self->state = WaitState::kLeft;  // no slot was granted
       rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
       return Status::Timeout("query deadline expired while queued");
     }
     if (request.guard != nullptr && request.guard->cancelled()) {
-      self->state = WaitState::kShed;
+      self->state = WaitState::kLeft;
       cancelled_.fetch_add(1, std::memory_order_relaxed);
       return Status::Cancelled("query cancelled while queued for admission");
     }
@@ -200,7 +170,7 @@ Status AdmissionController::Admit(const AdmissionRequest& request,
 void AdmissionController::DispatchLocked() {
   while (!queue_.empty()) {
     if (queue_.front()->state != WaitState::kWaiting) {
-      queue_.pop_front();  // tombstone left by a shed/expired waiter
+      queue_.pop_front();  // tombstone left by an expired/cancelled waiter
       continue;
     }
     if (options_.max_concurrent != 0 &&

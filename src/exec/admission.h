@@ -17,29 +17,16 @@
 
 namespace fgac::exec {
 
-/// Which waiting query loses when the admission queue overflows.
-enum class ShedPolicy {
-  /// The arriving query is rejected (the queue's FIFO order is preserved:
-  /// work already waiting is older and closer to running).
-  kShedNewest,
-  /// The most expensive query loses: if a queued query's cost estimate
-  /// exceeds the arrival's, that queued query is woken with kOverloaded
-  /// and the arrival takes its place; otherwise the arrival is rejected.
-  kShedByCost,
-};
-
-const char* ShedPolicyName(ShedPolicy policy);
-
 struct AdmissionOptions {
   /// Queries allowed past admission concurrently. 0 = unlimited (the
   /// controller still counts, still sheds on memory pressure, but never
   /// queues).
   size_t max_concurrent = 0;
   /// Bounded wait queue in front of the scheduler; an arrival finding it
-  /// full is shed per `shed_policy`. Overridable with FGAC_ADMISSION_QUEUE
-  /// (see Resolved()).
+  /// full is shed (the queue's FIFO order is preserved: work already
+  /// waiting is older and closer to running). Overridable with
+  /// FGAC_ADMISSION_QUEUE (see Resolved()).
   size_t max_queue = 64;
-  ShedPolicy shed_policy = ShedPolicy::kShedNewest;
 
   /// Copy with the FGAC_ADMISSION_QUEUE environment override applied.
   AdmissionOptions Resolved() const;
@@ -50,10 +37,6 @@ struct AdmissionRequest {
   /// The query's wall-clock deadline, when it has one: a query that would
   /// start past it is rejected with kTimeout before doing any work.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Relative cost estimate (e.g. total base-table rows the plan touches)
-  /// consulted by ShedPolicy::kShedByCost. Scale-free: only comparisons
-  /// between concurrently queued queries matter.
-  double cost = 1.0;
   /// Observed while queued (may be null): a cancelled session's query
   /// leaves the queue with kCancelled instead of occupying a slot.
   const common::QueryGuard* guard = nullptr;
@@ -106,7 +89,7 @@ class AdmissionTicket {
 /// bounded), or sheds it:
 ///  - global memory pressure (tracker soft limit) sheds arrivals with
 ///    kOverloaded + a retry-after hint;
-///  - a full queue sheds per ShedPolicy, also kOverloaded + retry-after;
+///  - a full queue sheds the arrival, also kOverloaded + retry-after;
 ///  - a query whose deadline expires before it would start is rejected
 ///    with kTimeout, before doing any work;
 ///  - a cancelled session's queued query leaves with kCancelled;
@@ -164,10 +147,10 @@ class AdmissionController {
  private:
   friend class AdmissionTicket;
 
-  enum class WaitState { kWaiting, kAdmitted, kShed, kShutdown };
+  /// kLeft is the tombstone of a waiter that gave up (deadline or cancel).
+  enum class WaitState { kWaiting, kAdmitted, kLeft, kShutdown };
   struct Waiter {
     WaitState state = WaitState::kWaiting;
-    double cost = 1.0;
   };
 
   /// Caller holds mu_. Grants slots to FIFO waiters while capacity allows.

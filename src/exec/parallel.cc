@@ -11,58 +11,16 @@ namespace fgac::exec {
 using algebra::PlanKind;
 using algebra::PlanPtr;
 
-namespace {
-
-/// True when the plan decomposes into at least one morsel pipeline, i.e.
-/// ExecutePlanPipelined would do better than the serial engine. UNION ALL
-/// always qualifies: even a union of serial-only branches benefits from
-/// running the branches as concurrent pipelines of one DAG.
-bool ShouldPipeline(const PlanPtr& plan) {
-  switch (plan->kind) {
-    case PlanKind::kGet:
-    case PlanKind::kSelect:
-    case PlanKind::kProject:
-    case PlanKind::kJoin:
-      return PipelineSourceNode(plan) != nullptr;
-    case PlanKind::kAggregate:
-    case PlanKind::kDistinct:
-    case PlanKind::kSort:
-      return PipelineSourceNode(plan->children[0]) != nullptr;
-    case PlanKind::kUnionAll:
-      return true;
-    default:
-      // kValues, kLimit: nothing to fan out (LIMIT's early-out is
-      // inherently serial).
-      return false;
-  }
-}
-
-}  // namespace
-
 bool IsParallelizable(const PlanPtr& plan,
                       const storage::DatabaseState& state) {
   if (plan == nullptr) return false;
-  auto pipeline_ok = [&state](const PlanPtr& p) {
-    const algebra::Plan* src = PipelineSourceNode(p);
-    return src != nullptr && state.GetTable(src->table) != nullptr;
-  };
-  switch (plan->kind) {
-    case PlanKind::kGet:
-    case PlanKind::kSelect:
-    case PlanKind::kProject:
-    case PlanKind::kJoin:
-      return pipeline_ok(plan);
-    case PlanKind::kAggregate:
-    case PlanKind::kDistinct:
-    case PlanKind::kSort:
-      return pipeline_ok(plan->children[0]);
-    case PlanKind::kUnionAll:
-      return std::any_of(
-          plan->children.begin(), plan->children.end(),
-          [&](const PlanPtr& c) { return IsParallelizable(c, state); });
-    default:
-      return false;
+  if (plan->kind == PlanKind::kUnionAll) {
+    return std::any_of(
+        plan->children.begin(), plan->children.end(),
+        [&](const PlanPtr& c) { return IsParallelizable(c, state); });
   }
+  const algebra::Plan* src = FragmentSource(plan);
+  return src != nullptr && state.GetTable(src->table) != nullptr;
 }
 
 Result<storage::Relation> ParallelExecutePlan(
@@ -78,7 +36,11 @@ Result<storage::Relation> ParallelExecutePlan(
     common::ScopedSpan span(trace, "exec.serial");
     return ExecutePlan(plan, state, guard, stats);
   };
-  if (num_threads <= 1 || !ShouldPipeline(plan)) return run_serial();
+  // UNION ALL always pipelines: even a union of serial-only branches
+  // benefits from running the branches as concurrent pipelines of one DAG.
+  const bool pipelined = plan->kind == PlanKind::kUnionAll ||
+                         FragmentSource(plan) != nullptr;
+  if (num_threads <= 1 || !pipelined) return run_serial();
   return ExecutePlanPipelined(plan, state, num_threads, guard, stats, trace,
                               dag_opts);
 }

@@ -32,7 +32,7 @@ bool IsParallelizable(const algebra::PlanPtr& plan,
 /// scheduling differs. This is the thin entry point: it owns the serial
 /// fallback, and delegates decomposable plans to ExecutePlanPipelined
 /// (exec/pipeline.h), which breaks them into a DAG of pipelines run on the
-/// shared PipelineScheduler / work-stealing pool.
+/// shared PipelineScheduler and pool.
 ///
 /// Parallelized shapes: any left-spine pipeline of kGet / kSelect /
 /// kProject / equi-key kJoin rooted at a base-table scan, optionally topped

@@ -317,30 +317,14 @@ Status AddFragments(const PlanPtr& plan, const storage::DatabaseState& state,
   const bool breaker_root = plan->kind == PlanKind::kAggregate ||
                             plan->kind == PlanKind::kDistinct ||
                             plan->kind == PlanKind::kSort;
-  bool morsel_shape;
-  switch (plan->kind) {
-    case PlanKind::kGet:
-    case PlanKind::kSelect:
-    case PlanKind::kProject:
-    case PlanKind::kJoin:
-      morsel_shape = PipelineSourceNode(plan) != nullptr;
-      break;
-    case PlanKind::kAggregate:
-    case PlanKind::kDistinct:
-    case PlanKind::kSort:
-      morsel_shape = PipelineSourceNode(plan->children[0]) != nullptr;
-      break;
-    default:
-      morsel_shape = false;
-      break;
-  }
+  const algebra::Plan* source = FragmentSource(plan);
 
   frags->emplace_back();
   Fragment* frag = &frags->back();
   frag->root = plan;
   const storage::DatabaseState* st = &state;
 
-  if (!morsel_shape) {
+  if (source == nullptr) {
     // Not a morsel shape (kValues/kLimit branch, non-equi join, ...): one
     // single-task pipeline running the serial engine, so a UNION ALL over
     // mixed branches still executes everything through one DAG.
@@ -459,7 +443,6 @@ Status AddFragments(const PlanPtr& plan, const storage::DatabaseState& state,
       return status;
     });
   }
-  const algebra::Plan* source = PipelineSourceNode(frag->child);
   size_t scan_id = dag->AddSet("scan", PlanNodeLabel(*source), build_ids,
                                "exec.worker", std::move(scan_tasks),
                                scan_meter);
@@ -598,6 +581,17 @@ const algebra::Plan* PipelineSourceNode(const PlanPtr& plan) {
     }
     default:
       return nullptr;
+  }
+}
+
+const algebra::Plan* FragmentSource(const PlanPtr& plan) {
+  switch (plan->kind) {
+    case PlanKind::kAggregate:
+    case PlanKind::kDistinct:
+    case PlanKind::kSort:
+      return PipelineSourceNode(plan->children[0]);
+    default:
+      return PipelineSourceNode(plan);
   }
 }
 

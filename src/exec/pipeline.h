@@ -21,6 +21,12 @@ class ExecStats;
 /// equi-keys, which would need a nested-loop join).
 const algebra::Plan* PipelineSourceNode(const algebra::PlanPtr& plan);
 
+/// The scan node feeding the fragment rooted at `plan`: PipelineSourceNode
+/// of the plan, looking through one Aggregate, Distinct or Sort root (the
+/// fragment's merge breaker). nullptr when the fragment is not a morsel
+/// pipeline and runs on the serial engine instead.
+const algebra::Plan* FragmentSource(const algebra::PlanPtr& plan);
+
 /// Decomposes `plan` into a DAG of pipelines and runs it on the shared
 /// PipelineScheduler. This is the engine under ParallelExecutePlan; callers
 /// normally go through that entry point, which also owns the serial

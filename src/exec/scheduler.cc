@@ -2,67 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <utility>
 
 #include "common/fault_injection.h"
 #include "common/thread_pool.h"
 
 namespace fgac::exec {
-
-void FairTaskQueue::Push(uint64_t session, uint32_t weight,
-                         std::function<void()> task) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SessionQueue& q = sessions_[session];
-  q.weight = std::max<uint32_t>(1, weight);
-  q.tasks.push_back(std::move(task));
-  ++size_;
-  if (!q.in_rotation) {
-    q.in_rotation = true;
-    q.credits = 0;  // fresh visit starts with a full grant
-    rotation_.push_back(session);
-  }
-}
-
-bool FairTaskQueue::Pop(std::function<void()>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (!rotation_.empty()) {
-    uint64_t key = rotation_.front();
-    auto it = sessions_.find(key);
-    if (it == sessions_.end() || it->second.tasks.empty()) {
-      // Visit exhausted between Pops (tasks drained without re-Push).
-      rotation_.pop_front();
-      if (it != sessions_.end()) sessions_.erase(it);
-      continue;
-    }
-    SessionQueue& q = it->second;
-    if (q.credits == 0) q.credits = q.weight;
-    *out = std::move(q.tasks.front());
-    q.tasks.pop_front();
-    --size_;
-    if (--q.credits == 0 || q.tasks.empty()) {
-      // Grant spent (or nothing left): rotate to the next session.
-      rotation_.pop_front();
-      q.credits = 0;
-      if (q.tasks.empty()) {
-        sessions_.erase(it);
-      } else {
-        rotation_.push_back(key);
-      }
-    }
-    return true;
-  }
-  return false;
-}
-
-size_t FairTaskQueue::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return size_;
-}
-
-size_t FairTaskQueue::sessions_active() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.size();
-}
 
 /// Shared state of one in-flight DAG. Heap-allocated and shared_ptr-held by
 /// every dispatched task so nothing dangles regardless of completion order;
@@ -174,32 +121,18 @@ void PipelineScheduler::DispatchSet(const std::shared_ptr<DagRun>& run,
     return;
   }
   tasks_dispatched_.fetch_add(tasks, std::memory_order_relaxed);
-  // Ready tasks are parked in the per-session WRR queue; what goes to the
-  // pool is an equal number of interchangeable drain tokens. Each token
-  // runs whichever task the fair queue releases next, so sessions share
-  // worker bandwidth by weight no matter whose DAG enqueued first.
   for (size_t t = 0; t < tasks; ++t) {
-    // Push-to-Pop delta is the task's fair-queue wait; attributed to the
+    // Submit-to-start delta is the task's queue wait; attributed to the
     // DAG's progress record (fgac_activity) and the scheduler totals.
-    auto pushed = std::chrono::steady_clock::now();
-    fair_queue_.Push(r.opts.session_key, r.opts.weight,
-                     [this, run, s, t, pushed] {
-                       auto waited =
-                           std::chrono::steady_clock::now() - pushed;
-                       NoteTaskWait(
-                           *run,
-                           static_cast<uint64_t>(
-                               std::chrono::duration_cast<
-                                   std::chrono::microseconds>(waited)
-                                   .count()));
-                       RunTask(run, s, t);
-                     });
-  }
-  for (size_t t = 0; t < tasks; ++t) {
-    common::ThreadPool::Shared().Submit([this] {
-      std::function<void()> task;
-      if (fair_queue_.Pop(&task)) task();
-    });
+    auto submitted = std::chrono::steady_clock::now();
+    common::ThreadPool::Shared().Submit(
+        [this, run, s, t, submitted] {
+          auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - submitted);
+          NoteTaskWait(*run, static_cast<uint64_t>(waited.count()));
+          RunTask(run, s, t);
+        },
+        r.opts.session_key, r.opts.weight);
   }
 }
 
@@ -215,8 +148,7 @@ void PipelineScheduler::RunTask(const std::shared_ptr<DagRun>& run, size_t s,
     span.set_detail("worker=" + std::to_string(t));
     if (!r.abort.load(std::memory_order_acquire)) {
       auto t0 = std::chrono::steady_clock::now();
-      Status injected = FGAC_FAULT_CHECK("threadpool.dispatch");
-      if (injected.ok()) injected = FGAC_FAULT_CHECK("pipeline.run");
+      Status injected = FGAC_FAULT_CHECK("pipeline.run");
       if (injected.ok()) injected = common::GuardCheck(r.guard);
       status = injected.ok() ? set.tasks[t](t) : std::move(injected);
       auto ran_for = std::chrono::steady_clock::now() - t0;

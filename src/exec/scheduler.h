@@ -2,15 +2,11 @@
 #define FGAC_EXEC_SCHEDULER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/activity.h"
@@ -44,59 +40,26 @@ struct PipelineTaskSet {
 };
 
 /// Submitting-session identity for fair dispatch. DAGs carrying the same
-/// session_key share one weighted-round-robin bucket; weight is the number
-/// of ready tasks the bucket may release per rotation visit (so a weight-3
-/// session gets ~3x the dispatch bandwidth of a weight-1 session while
-/// both have work queued).
+/// session_key share one weighted-round-robin bucket of the pool's queue
+/// (common::FairTaskQueue); weight is the number of ready tasks the bucket
+/// may release per rotation visit (so a weight-3 session gets ~3x the
+/// worker bandwidth of a weight-1 session while both have work queued).
 struct DagOptions {
   /// 0 = anonymous: all anonymous DAGs share one bucket.
   uint64_t session_key = 0;
   uint32_t weight = 1;
   /// When non-null, the scheduler publishes live progress here: pipeline
-  /// sets dispatched/settled plus per-task wall-time attributed to fair
+  /// sets dispatched/settled plus per-task wall-time attributed to pool
   /// queue wait vs run. Must outlive RunDag (the statement's
   /// StatementActivity owns it in practice).
   common::DagProgress* progress = nullptr;
 };
 
-/// Weighted-round-robin multiplexer of ready tasks across sessions — the
-/// fairness core of the PipelineScheduler, standalone so its dispatch
-/// order is unit-testable without a thread pool. Push enqueues a ready
-/// task under its session; Pop releases tasks in WRR order: each rotation
-/// visit grants a session up to `weight` consecutive tasks, then moves to
-/// the next session with work. One session flooding the queue therefore
-/// delays its own tasks, not other sessions'.
-///
-/// Thread-safe; Pop returns false only when empty.
-class FairTaskQueue {
- public:
-  void Push(uint64_t session, uint32_t weight, std::function<void()> task);
-  bool Pop(std::function<void()>* out);
-  size_t size() const;
-  /// Sessions currently holding ready tasks.
-  size_t sessions_active() const;
-
- private:
-  struct SessionQueue {
-    std::deque<std::function<void()>> tasks;
-    uint32_t weight = 1;
-    /// Tasks still grantable in the current rotation visit.
-    uint32_t credits = 0;
-    bool in_rotation = false;
-  };
-
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, SessionQueue> sessions_;
-  /// Visit order; the front session is the current grantee.
-  std::deque<uint64_t> rotation_;
-  size_t size_ = 0;
-};
-
 /// Schedules pipeline DAGs from any number of concurrent queries onto the
-/// shared work-stealing pool. Replaces the per-query morsel fan-out: every
-/// query decomposes into PipelineTaskSets (exec/pipeline.cc), validity
-/// probe batches submit here too (core/validity.cc), and all of it
-/// interleaves on one pool.
+/// shared pool. Replaces the per-query morsel fan-out: every query
+/// decomposes into PipelineTaskSets (exec/pipeline.cc), validity probe
+/// batches submit here too (core/validity.cc), and all of it interleaves
+/// on one pool.
 ///
 /// Execution model: all dependency-free sets are dispatched immediately;
 /// when the last task of a set finishes, its dependents' counters are
@@ -126,13 +89,12 @@ class PipelineScheduler {
   /// records which sets actually ran (0 = cancelled before start).
   ///
   /// Fault sites: "scheduler.dispatch" fires once per set at dispatch
-  /// time; "pipeline.run" (and the legacy "threadpool.dispatch") fire in
-  /// each task before its body.
+  /// time; "pipeline.run" fires in each task before its body.
   ///
-  /// `opts` names the submitting session for fair dispatch: ready tasks
-  /// enter a per-session weighted-round-robin queue and the pool drains
-  /// them in WRR order, so concurrent sessions share workers by weight
-  /// instead of pool-level FIFO arrival order.
+  /// `opts` names the submitting session for fair dispatch: each ready
+  /// task is submitted once to the pool under the session's key and
+  /// weight, and workers pop the pool's queue in WRR order, so concurrent
+  /// sessions share workers by weight instead of by arrival order.
   Status RunDag(std::vector<PipelineTaskSet> sets, common::QueryGuard* guard,
                 const common::TraceContext* trace,
                 std::vector<char>* started = nullptr,
@@ -153,20 +115,14 @@ class PipelineScheduler {
     return pipelines_cancelled_.load(std::memory_order_relaxed);
   }
 
-  /// Cumulative per-task wall-time split: fair-queue wait (Push to Pop)
-  /// vs task-body run time, across every DAG this scheduler executed.
+  /// Cumulative per-task wall-time split: pool queue wait (submit to
+  /// start) vs task-body run time, across every DAG this scheduler executed.
   uint64_t total_task_queue_wait_us() const {
     return task_queue_wait_us_.load(std::memory_order_relaxed);
   }
   uint64_t total_task_run_us() const {
     return task_run_us_.load(std::memory_order_relaxed);
   }
-
-  /// Ready tasks currently parked in the fair queue (claimed by a pool
-  /// worker but not yet run ≙ 0 when quiesced).
-  size_t fair_queue_depth() const { return fair_queue_.size(); }
-  /// Sessions with ready tasks queued right now.
-  size_t fair_sessions_active() const { return fair_queue_.sessions_active(); }
 
   /// Process-wide scheduler over ThreadPool::Shared().
   static PipelineScheduler& Shared();
@@ -186,7 +142,6 @@ class PipelineScheduler {
   std::atomic<uint64_t> pipelines_cancelled_{0};
   std::atomic<uint64_t> task_queue_wait_us_{0};
   std::atomic<uint64_t> task_run_us_{0};
-  FairTaskQueue fair_queue_;
 };
 
 }  // namespace fgac::exec

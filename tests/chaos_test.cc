@@ -113,9 +113,9 @@ TEST(ChaosTest, EightClientSweepFailsClosedOnly) {
   if (FaultInjector::compiled_in()) {
     uint64_t seed = 12345;
     for (const char* site :
-         {"scheduler.dispatch", "threadpool.dispatch", "pipeline.run",
-          "parallel.morsel", "storage.rebuild", "exec.hash_join.build",
-          "validity.probe", "memory.charge", "admission.enqueue"}) {
+         {"scheduler.dispatch", "pipeline.run", "parallel.morsel",
+          "storage.rebuild", "exec.hash_join.build", "validity.probe",
+          "memory.charge", "admission.enqueue"}) {
       FaultInjector::Instance().FailWithProbability(site, 0.02, seed++);
     }
   }

@@ -135,14 +135,27 @@ TEST_F(DatabaseTest, ScriptStopsAtFirstError) {
 }
 
 TEST_F(DatabaseTest, VersionsAdvance) {
-  uint64_t cat = db_.catalog_version();
+  uint64_t epoch = db_.policy_epoch();
   uint64_t data = db_.data_version();
   ASSERT_TRUE(db_.ExecuteAsAdmin("grant select on mygrades to 11").ok());
-  EXPECT_GT(db_.catalog_version(), cat);
+  EXPECT_GT(db_.policy_epoch(), epoch);
   EXPECT_EQ(db_.data_version(), data);
   ASSERT_TRUE(
       db_.ExecuteAsAdmin("insert into courses values ('cs9', 'x')").ok());
   EXPECT_GT(db_.data_version(), data);
+  // Table and constraint DDL advance the one catalog epoch too.
+  epoch = db_.policy_epoch();
+  ASSERT_TRUE(db_.ExecuteAsAdmin("create table epochs (x int)").ok());
+  EXPECT_GT(db_.policy_epoch(), epoch);
+  epoch = db_.policy_epoch();
+  catalog::InclusionDependency dep;
+  dep.name = "epochs_self";
+  dep.src_table = "epochs";
+  dep.src_columns = {"x"};
+  dep.dst_table = "epochs";
+  dep.dst_columns = {"x"};
+  ASSERT_TRUE(db_.catalog().AddConstraint(std::move(dep)).ok());
+  EXPECT_GT(db_.policy_epoch(), epoch);
 }
 
 TEST_F(DatabaseTest, DdlMessagesAreInformative) {

@@ -1,6 +1,6 @@
 // Fault-injection-driven tests: error paths that are unreachable from SQL
 // alone. Each test arms a named site compiled into the engine (storage
-// rebuild, hash-join build, validity probes, thread-pool dispatch, morsel
+// rebuild, hash-join build, validity probes, pipeline tasks, morsel
 // claims) and asserts the failure unwinds as a clean Status — no crash, no
 // hang, no half-written state.
 //
@@ -138,20 +138,6 @@ TEST_F(FaultInjectionTest, FailedValidityProbeFailsClosed) {
   EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
 }
 
-TEST_F(FaultInjectionTest, ThreadPoolDispatchFailureJoinsAllWorkers) {
-  GrowStudents(20000);
-  FaultInjector::Instance().FailOnHit("threadpool.dispatch");
-  SessionContext ctx = Admin();
-  ctx.set_exec_parallelism(4);
-  // One worker's dispatch fails; the others must observe the shared abort,
-  // drain, and join — returning here at all proves no worker was leaked.
-  auto r = db_.Execute("select * from students", ctx);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("fault injected"), std::string::npos);
-  auto again = db_.Execute("select * from students", ctx);
-  EXPECT_TRUE(again.ok()) << again.status().ToString();
-}
-
 TEST_F(FaultInjectionTest, CallbackCancelsAtExactMorselBoundary) {
   // OnHit turns a site into a deterministic trigger: cancel the session
   // the moment the 8th morsel is claimed — no sleeps, no racing clocks.
@@ -258,7 +244,7 @@ TEST_F(FaultInjectionTest, ProbabilisticFaultStormNeverHangs) {
   ctx.set_mode(EnforcementMode::kNonTruman);
   db_.options().enable_validity_cache = false;
   const char* sites[] = {"storage.rebuild", "exec.hash_join.build",
-                         "validity.probe", "threadpool.dispatch",
+                         "validity.probe", "pipeline.run",
                          "parallel.morsel"};
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     for (const char* site : sites) fi.FailWithProbability(site, 0.3, seed);

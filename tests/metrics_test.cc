@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -185,14 +186,18 @@ TEST(MetricsRegistryTest, SnapshotDuringConcurrentUpdatesIsExact) {
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPoolStatsTest, CountsTasksAndQueueHighWater) {
-  common::ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  std::promise<void> all_finished;
+  common::ThreadPool pool(2);  // declared last: joined first
   EXPECT_EQ(pool.tasks_run(), 0u);
-  std::vector<std::function<void()>> tasks;
   for (int i = 0; i < 8; ++i) {
-    tasks.push_back(
-        [] { std::this_thread::sleep_for(std::chrono::milliseconds(2)); });
+    pool.Submit([&finished, &all_finished] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (finished.fetch_add(1) + 1 == 8) all_finished.set_value();
+    });
   }
-  pool.RunAll(std::move(tasks));
+  all_finished.get_future().wait();
+  // A task counts as run when a worker pops it, before its body starts.
   EXPECT_EQ(pool.tasks_run(), 8u);
   // 8 sleeping tasks over 2 workers must have queued at some point.
   EXPECT_GE(pool.queue_depth_high_water(), 1u);
@@ -480,25 +485,24 @@ TEST_F(DatabaseMetricsTest, ExportGaugeKeySetIsPinned) {
       "audit.events_dropped", "audit.events_emitted",
       "audit.events_persisted", "memory.charges_denied", "memory.hard_limit",
       "memory.high_water", "memory.soft_limit", "memory.used",
-      "scheduler.dags_executed", "scheduler.fair_queue_depth",
-      "scheduler.fair_sessions_active", "scheduler.pipelines_cancelled",
-      "scheduler.pipelines_completed", "scheduler.task_queue_wait_us",
-      "scheduler.task_run_us", "scheduler.tasks_dispatched",
+      "scheduler.dags_executed", "scheduler.fair_sessions_active",
+      "scheduler.pipelines_cancelled", "scheduler.pipelines_completed",
+      "scheduler.task_queue_wait_us", "scheduler.task_run_us",
+      "scheduler.tasks_dispatched",
       "sessions.open", "sessions.statements_active",
       "sessions.statements_begun",
       "statement_cache.collisions", "statement_cache.entries",
       "statement_cache.evictions", "statement_cache.hits",
       "statement_cache.invalidations", "statement_cache.misses",
       "thread_pool.queue_depth", "thread_pool.queue_depth_high_water",
-      "thread_pool.tasks_run", "thread_pool.tasks_stolen",
-      "trace.spans_dropped", "trace.spans_recorded",
+      "thread_pool.tasks_run", "trace.spans_dropped", "trace.spans_recorded",
       "watchdog.admission_queue_depth", "watchdog.admission_running",
       "watchdog.max_statement_elapsed_us", "watchdog.scheduler_queue_depth",
       "watchdog.stalled_statements", "watchdog.statements_in_flight"};
   EXPECT_EQ(got, want);
 }
 
-TEST_F(DatabaseMetricsTest, ExportCoversSchedulerAndWorkStealingGauges) {
+TEST_F(DatabaseMetricsTest, ExportCoversSchedulerAndPoolGauges) {
   // A parallel query guarantees at least one DAG went through the
   // scheduler before export.
   SessionContext admin("admin");
@@ -508,7 +512,7 @@ TEST_F(DatabaseMetricsTest, ExportCoversSchedulerAndWorkStealingGauges) {
 
   std::string json = db_.ExportMetricsJson();
   for (const char* gauge :
-       {"\"thread_pool.tasks_stolen\"", "\"thread_pool.queue_depth\"",
+       {"\"thread_pool.tasks_run\"", "\"thread_pool.queue_depth\"",
         "\"scheduler.dags_executed\"", "\"scheduler.tasks_dispatched\"",
         "\"scheduler.pipelines_completed\"",
         "\"scheduler.pipelines_cancelled\""}) {

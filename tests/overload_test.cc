@@ -1,7 +1,7 @@
 // Overload-protection subsystem tests: the MemoryTracker global account,
 // QueryGuard forwarding into it, the AdmissionController's queue/shed/
-// deadline/shutdown behaviour, the scheduler's session-fair dispatch
-// queue, and the end-to-end Database wiring (shed queries audited as
+// deadline/shutdown behaviour, the thread pool's session-fair queue,
+// and the end-to-end Database wiring (shed queries audited as
 // "shed", hard memory limits aborting queries fail-closed, memory
 // pressure degrading Non-Truman checks per policy).
 
@@ -18,9 +18,9 @@
 #include "common/fault_injection.h"
 #include "common/memory_tracker.h"
 #include "common/query_guard.h"
+#include "common/thread_pool.h"
 #include "core/database.h"
 #include "exec/admission.h"
-#include "exec/scheduler.h"
 #include "storage/table_data.h"
 #include "tests/test_util.h"
 
@@ -28,6 +28,7 @@ namespace fgac {
 namespace {
 
 using common::DegradePolicy;
+using common::FairTaskQueue;
 using common::FaultInjector;
 using common::MemoryTracker;
 using common::QueryGuard;
@@ -40,9 +41,7 @@ using exec::AdmissionController;
 using exec::AdmissionOptions;
 using exec::AdmissionRequest;
 using exec::AdmissionTicket;
-using exec::FairTaskQueue;
 using exec::RetryAfterHintMs;
-using exec::ShedPolicy;
 using fgac::testing::CreateUniversityViews;
 using fgac::testing::SetupUniversity;
 
@@ -207,69 +206,6 @@ TEST(AdmissionTest, FullQueueShedsNewestWithRetryAfter) {
   EXPECT_EQ(ac.shed_queue_full(), 1u);
 }
 
-TEST(AdmissionTest, ShedByCostEvictsPriciestWaiter) {
-  AdmissionOptions opts;
-  opts.max_concurrent = 1;
-  opts.max_queue = 1;
-  opts.shed_policy = ShedPolicy::kShedByCost;
-  AdmissionController ac(opts);
-  AdmissionTicket slot;
-  ASSERT_TRUE(ac.Admit(AdmissionRequest{}, &slot).ok());
-
-  Status expensive_status;
-  std::thread expensive([&] {
-    AdmissionRequest req;
-    req.cost = 1000.0;
-    AdmissionTicket t;
-    expensive_status = ac.Admit(req, &t);
-  });
-  while (ac.queue_depth() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // A cheaper arrival evicts the queued expensive query and takes its
-  // place in line.
-  Status cheap_status;
-  std::atomic<bool> cheap_admitted{false};
-  std::thread cheap([&] {
-    AdmissionRequest req;
-    req.cost = 1.0;
-    AdmissionTicket t;
-    cheap_status = ac.Admit(req, &t);
-    cheap_admitted.store(true);
-  });
-  expensive.join();
-  EXPECT_EQ(expensive_status.code(), StatusCode::kOverloaded);
-  EXPECT_GE(RetryAfterHintMs(expensive_status), 1);
-  EXPECT_EQ(ac.shed_queue_full(), 1u);
-  EXPECT_FALSE(cheap_admitted.load());
-  slot.Release();
-  cheap.join();
-  EXPECT_TRUE(cheap_status.ok());
-
-  // An arrival pricier than every waiter is itself shed.
-  AdmissionTicket hold;
-  ASSERT_TRUE(ac.Admit(AdmissionRequest{}, &hold).ok());
-  Status mid_status;
-  std::thread mid([&] {
-    AdmissionRequest req;
-    req.cost = 10.0;
-    AdmissionTicket t;
-    mid_status = ac.Admit(req, &t);
-  });
-  while (ac.queue_depth() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  AdmissionRequest pricier;
-  pricier.cost = 100.0;
-  AdmissionTicket t2;
-  Status self_shed = ac.Admit(pricier, &t2);
-  EXPECT_EQ(self_shed.code(), StatusCode::kOverloaded);
-  hold.Release();
-  mid.join();
-  EXPECT_TRUE(mid_status.ok());
-}
-
 TEST(AdmissionTest, ExpiredDeadlineRejectedBeforeWork) {
   AdmissionController ac(AdmissionOptions{});
   AdmissionRequest req;
@@ -397,7 +333,7 @@ TEST(AdmissionTest, EnvQueueOverride) {
 }
 
 // ---------------------------------------------------------------------------
-// FairTaskQueue (scheduler session fairness)
+// FairTaskQueue (the pool's session-fair queue)
 // ---------------------------------------------------------------------------
 
 TEST(FairTaskQueueTest, WeightedRoundRobinPattern) {
@@ -562,7 +498,7 @@ TEST(OverloadEndToEndTest, MetricsExportContainsOverloadGauges) {
        {"memory.used", "memory.high_water", "memory.charges_denied",
         "admission.admitted", "admission.queue_depth", "admission.running",
         "admission.shed_queue_full", "admission.shed_memory",
-        "scheduler.fair_queue_depth", "scheduler.fair_sessions_active"}) {
+        "thread_pool.queue_depth", "scheduler.fair_sessions_active"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing gauge " << key;
   }
 }

@@ -31,41 +31,73 @@ using common::ThreadPool;
 using fgac::testing::QueryGenerator;
 using fgac::testing::SortedRowsToString;
 
-TEST(ThreadPoolTest, RunAllCompletesEveryTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
+TEST(ThreadPoolTest, DestructorRunsEverySubmittedTask) {
   std::atomic<int> counter{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 100; ++i) {
-    tasks.push_back([&counter] { counter.fetch_add(1); });
-  }
-  pool.RunAll(std::move(tasks));
+  {
+    ThreadPool pool(4);
+    EXPECT_EQ(pool.num_threads(), 4u);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
+  }  // every queued task runs before the workers are joined
   EXPECT_EQ(counter.load(), 100);
-  // Reusable after a batch.
-  std::vector<std::function<void()>> more;
-  for (int i = 0; i < 7; ++i) more.push_back([&counter] { counter.fetch_add(1); });
-  pool.RunAll(std::move(more));
-  EXPECT_EQ(counter.load(), 107);
 }
 
-TEST(ThreadPoolTest, RunAllWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.RunAll({});  // must not hang
+TEST(ThreadPoolTest, DestructorWithNoTasksReturnsImmediately) {
+  ThreadPool pool(2);  // must not hang
 }
 
 TEST(ThreadPoolTest, SubmitRunsDetachedTask) {
-  ThreadPool pool(1);
   std::promise<int> done;
+  ThreadPool pool(1);  // declared last: joined before `done` is destroyed
   pool.Submit([&done] { done.set_value(42); });
   EXPECT_EQ(done.get_future().get(), 42);
 }
 
 TEST(ThreadPoolTest, ZeroRequestedThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
   std::atomic<int> counter{0};
-  pool.RunAll({[&counter] { counter.fetch_add(1); }});
+  {
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.num_threads(), 1u);
+    pool.Submit([&counter] { counter.fetch_add(1); });
+  }
   EXPECT_EQ(counter.load(), 1);
+}
+
+// The pool's one queue is session-fair: while a gate task holds the only
+// worker, two sessions queue four tasks each; once the gate opens the
+// worker pops them in weighted-round-robin order (session 2 has weight 3).
+TEST(ThreadPoolTest, WorkersDrainSessionsInWeightedRoundRobinOrder) {
+  std::promise<void> gate_started;
+  std::promise<void> gate;
+  std::promise<void> finished;
+  std::string order;  // appended to by the one worker only
+  int ran = 0;
+  auto record = [&order, &ran, &finished](const std::string& name) {
+    order += order.empty() ? name : " " + name;
+    // Signalled from the 8th task: reading `order` any earlier races.
+    if (++ran == 8) finished.set_value();
+  };
+  // Declared last, so it is joined before anything its tasks touch dies.
+  ThreadPool pool(1);
+  pool.Submit([&gate_started, open = gate.get_future().share()] {
+    gate_started.set_value();
+    open.wait();
+  });
+  gate_started.get_future().wait();
+  for (int i = 1; i <= 4; ++i) {
+    pool.Submit([&record, i] { record("a" + std::to_string(i)); },
+                /*session=*/1, /*weight=*/1);
+  }
+  for (int i = 1; i <= 4; ++i) {
+    pool.Submit([&record, i] { record("b" + std::to_string(i)); },
+                /*session=*/2, /*weight=*/3);
+  }
+  EXPECT_EQ(pool.queue_depth(), 8u);
+  EXPECT_EQ(pool.sessions_active(), 2u);
+  gate.set_value();
+  finished.get_future().wait();
+  EXPECT_EQ(order, "a1 b1 b2 b3 a2 b4 a3 a4");
 }
 
 class ParallelExecTest : public ::testing::Test {

@@ -1,8 +1,8 @@
 // Tests for the pipeline scheduler layer: DAG ordering and first-error-wins
-// cancellation in PipelineScheduler, work stealing in the shared pool,
-// inter-query interleaving of two sessions' pipelines on one pool, deadline
-// trips mid-DAG, scheduler fault sites, validity probes as scheduler tasks,
-// and a multi-client differential sweep against serial execution.
+// cancellation in PipelineScheduler, inter-query interleaving of two
+// sessions' pipelines on one pool, deadline trips mid-DAG, scheduler fault
+// sites, validity probes as scheduler tasks, and a multi-client
+// differential sweep against serial execution.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 
 #include "common/fault_injection.h"
 #include "common/query_guard.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/database.h"
 #include "exec/scheduler.h"
@@ -26,7 +25,6 @@ namespace {
 
 using common::FaultInjector;
 using common::QueryLimits;
-using common::ThreadPool;
 using common::TraceSpan;
 using core::Database;
 using core::EnforcementMode;
@@ -148,41 +146,6 @@ TEST(PipelineSchedulerTest, TrippedGuardCancelsDependentsMidDag) {
   EXPECT_EQ(started[0], 1);  // dispatched, every task failed its guard check
   EXPECT_EQ(started[1], 0);  // released after the abort: cancelled
   EXPECT_GE(sched.pipelines_cancelled(), cancelled0 + 1);
-}
-
-// ---------------------------------------------------------------------------
-// Work-stealing pool
-// ---------------------------------------------------------------------------
-
-TEST(WorkStealingTest, IdlePeersStealFromABusyWorkersQueue) {
-  ThreadPool& pool = ThreadPool::Shared();
-  ASSERT_GE(pool.num_threads(), 4u);
-  const uint64_t stolen0 = pool.tasks_stolen();
-
-  // A task submitted from a pool worker lands on that worker's own deque.
-  // The submitter then stalls, so its backlog can only finish if idle
-  // peers steal it.
-  std::atomic<int> done{0};
-  constexpr int kBacklog = 8;
-  std::mutex mu;
-  std::condition_variable cv;
-  pool.Submit([&] {
-    for (int i = 0; i < kBacklog; ++i) {
-      pool.Submit([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        if (done.fetch_add(1) + 1 == kBacklog) {
-          std::lock_guard<std::mutex> lock(mu);
-          cv.notify_all();
-        }
-      });
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
-                          [&] { return done.load() == kBacklog; }));
-  EXPECT_GE(pool.tasks_stolen(), stolen0 + 1)
-      << "the stalled submitter's backlog was not stolen by idle peers";
 }
 
 // ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ algebra::PlanPtr TrivialPlan() { return algebra::MakeGet("t", {"a"}); }
 TEST(StatementCacheTest, TrumanPlanHitAfterInsert) {
   StatementCache cache;
   std::string user = "u", text = "select a from t";
-  StatementCache::Key key{user, 7, text, 1, 1};
+  StatementCache::Key key{user, 7, text, 1};
   EXPECT_EQ(cache.LookupTrumanPlan(key, 1), nullptr);
   cache.InsertTrumanPlan(key, 1, TrivialPlan());
   EXPECT_NE(cache.LookupTrumanPlan(key, 1), nullptr);
@@ -52,30 +52,26 @@ TEST(StatementCacheTest, TrumanPlanHitAfterInsert) {
 TEST(StatementCacheTest, KeyedByPrincipal) {
   StatementCache cache;
   std::string alice = "alice", bob = "bob", text = "select a from t";
-  StatementCache::Key ka{alice, 7, text, 1, 1};
-  StatementCache::Key kb{bob, 7, text, 1, 1};
+  StatementCache::Key ka{alice, 7, text, 1};
+  StatementCache::Key kb{bob, 7, text, 1};
   cache.InsertTrumanPlan(ka, 1, TrivialPlan());
   EXPECT_EQ(cache.LookupTrumanPlan(kb, 1), nullptr);
   EXPECT_NE(cache.LookupTrumanPlan(ka, 1), nullptr);
 }
 
-TEST(StatementCacheTest, CatalogVersionAndPolicyEpochFailClosed) {
+TEST(StatementCacheTest, PolicyEpochFailsClosed) {
   StatementCache cache;
   std::string user = "u", text = "select a from t";
-  StatementCache::Key key{user, 7, text, 1, 1};
+  StatementCache::Key key{user, 7, text, 1};
   cache.InsertTrumanPlan(key, 1, TrivialPlan());
   cache.InsertVerdict(key, 9, 1, Accepted(true));
-  // Catalog moved: the whole entry (plans AND verdicts) is discarded.
-  StatementCache::Key newer_catalog{user, 7, text, 2, 1};
-  EXPECT_EQ(cache.LookupTrumanPlan(newer_catalog, 1), nullptr);
+  // The catalog moved: the whole entry (plans AND verdicts) is discarded.
+  StatementCache::Key newer{user, 7, text, 2};
+  ValidityReport out;
+  EXPECT_FALSE(cache.LookupVerdict(newer, 9, 1, &out));
+  EXPECT_EQ(cache.LookupTrumanPlan(key, 1), nullptr);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_GE(cache.invalidations(), 1u);
-  // Same for a policy-epoch bump, even with the catalog version equal.
-  cache.InsertVerdict(key, 9, 1, Accepted(true));
-  StatementCache::Key newer_policy{user, 7, text, 1, 2};
-  ValidityReport out;
-  EXPECT_FALSE(cache.LookupVerdict(newer_policy, 9, 1, &out));
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(StatementCacheTest, TextMismatchIsAMissNeverAWrongReuse) {
@@ -85,8 +81,8 @@ TEST(StatementCacheTest, TextMismatchIsAMissNeverAWrongReuse) {
   // statement must miss rather than inherit the first one's plans.
   std::string user = "u";
   std::string text1 = "select a from t", text2 = "select b from t";
-  StatementCache::Key k1{user, 7, text1, 1, 1};
-  StatementCache::Key k2{user, 7, text2, 1, 1};
+  StatementCache::Key k1{user, 7, text1, 1};
+  StatementCache::Key k2{user, 7, text2, 1};
   cache.InsertTrumanPlan(k1, 1, TrivialPlan());
   EXPECT_EQ(cache.LookupTrumanPlan(k2, 1), nullptr);
   EXPECT_GE(cache.collisions(), 1u);
@@ -105,8 +101,8 @@ TEST(StatementCacheTest, PrincipalMismatchIsAMissNeverAWrongReuse) {
   const uint64_t prime = 1099511628211ULL;
   const uint64_t fp_b = 7 ^ (std::hash<std::string>()(alice) * prime) ^
                         (std::hash<std::string>()(bob) * prime);
-  StatementCache::Key ka{alice, 7, text, 1, 1};
-  StatementCache::Key kb{bob, fp_b, text, 1, 1};
+  StatementCache::Key ka{alice, 7, text, 1};
+  StatementCache::Key kb{bob, fp_b, text, 1};
   cache.InsertTrumanPlan(ka, 1, TrivialPlan());
   cache.InsertVerdict(ka, 1, 1, Accepted(true));
   ValidityReport out;
@@ -123,7 +119,7 @@ TEST(StatementCacheTest, PrincipalMismatchIsAMissNeverAWrongReuse) {
 TEST(StatementCacheTest, VerdictDataVersionRule) {
   StatementCache cache;
   std::string user = "u", text = "select a from t";
-  StatementCache::Key key{user, 7, text, 1, 1};
+  StatementCache::Key key{user, 7, text, 1};
   cache.InsertVerdict(key, 1, /*data_version=*/5, Accepted(true));
   cache.InsertVerdict(key, 2, /*data_version=*/5, Accepted(false));
   ValidityReport rejected;
@@ -139,7 +135,7 @@ TEST(StatementCacheTest, VerdictDataVersionRule) {
 TEST(StatementCacheTest, ProbeBudgetExhaustedVerdictsAreNotCached) {
   StatementCache cache;
   std::string user = "u", text = "select a from t";
-  StatementCache::Key key{user, 7, text, 1, 1};
+  StatementCache::Key key{user, 7, text, 1};
   ValidityReport budget = Accepted(true);
   budget.probe_budget_exhausted = true;
   cache.InsertVerdict(key, 1, 1, budget);
@@ -153,7 +149,7 @@ TEST(StatementCacheTest, LruEvictionBoundsEntries) {
   StatementCache cache(/*max_entries=*/StatementCache::kShards);
   std::string user = "u", text = "q";
   for (uint64_t fp = 0; fp < 4 * StatementCache::kShards; ++fp) {
-    StatementCache::Key key{user, fp, text, 1, 1};
+    StatementCache::Key key{user, fp, text, 1};
     cache.InsertTrumanPlan(key, 1, TrivialPlan());
   }
   EXPECT_LE(cache.size(), StatementCache::kShards);
@@ -166,7 +162,7 @@ TEST(StatementCacheTest, RecentlyUsedEntrySurvivesEviction) {
   StatementCache cache(/*max_entries=*/2 * StatementCache::kShards);
   std::string user = "u", text = "q";
   auto key = [&](uint64_t fp) {
-    return StatementCache::Key{user, fp, text, 1, 1};
+    return StatementCache::Key{user, fp, text, 1};
   };
   const uint64_t a = 1, b = a + StatementCache::kShards,
                  c = b + StatementCache::kShards;
@@ -184,7 +180,7 @@ TEST(StatementCacheTest, RecentlyUsedEntrySurvivesEviction) {
 TEST(StatementCacheTest, VerdictArgumentsAreComparedExactly) {
   StatementCache cache;
   std::string user = "u", text = "select a from t where a = $1";
-  StatementCache::Key key{user, 7, text, 1, 1};
+  StatementCache::Key key{user, 7, text, 1};
   cache.InsertVerdict(key, 9, 1, Accepted(true), {Value::Int(4)});
   ValidityReport out;
   EXPECT_TRUE(cache.LookupVerdict(key, 9, 1, &out, {Value::Int(4)}));
@@ -198,7 +194,7 @@ TEST(StatementCacheTest, VerdictArgumentsAreComparedExactly) {
 TEST(StatementCacheTest, VariantMapsAreBounded) {
   StatementCache cache;
   std::string user = "u", text = "q";
-  StatementCache::Key key{user, 7, text, 1, 1};
+  StatementCache::Key key{user, 7, text, 1};
   for (uint64_t fp = 0; fp < 4 * StatementCache::kMaxVariants; ++fp) {
     cache.InsertVerdict(key, fp, 1, Accepted(true));
     cache.InsertTrumanPlan(key, fp, TrivialPlan());
