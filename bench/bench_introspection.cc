@@ -18,7 +18,7 @@
 //      thread hammers registry snapshots, Prometheus exposition, and the
 //      governed fgac_sessions table the way a 1s-scrape operator setup
 //      would (much harder than reality: no sleep between scrapes). A
-//      loose tripwire (observed <= 1.25x unobserved) catches a refresh
+//      loose tripwire (observed <= 1.25x unobserved) catches a snapshot
 //      path that starts blocking the workload.
 //
 // Self-gates (exit 1): all executions succeed; the per-statement share
@@ -245,8 +245,8 @@ int main(int argc, char** argv) {
 
   // Observed steady state: a no-sleep monitoring loop — registry
   // snapshots, full Prometheus exposition, and the governed system table
-  // (which re-materializes fgac_sessions/fgac_activity under the refresh
-  // mutex) — runs against the same workload.
+  // (each read builds a private snapshot of fgac_sessions and writes no
+  // shared storage) — runs against the same workload.
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> scrapes{0};
   std::thread observer([&] {

@@ -210,8 +210,8 @@ std::string PlanToString(const PlanPtr& plan, int indent) {
         if (i > 0) out += ", ";
         out += AggFuncName(plan->aggs[i].func);
         if (plan->aggs[i].arg != nullptr) {
-          out += "(" + std::string(plan->aggs[i].distinct ? "DISTINCT " : "") +
-                 ScalarToString(plan->aggs[i].arg) + ")";
+          out += plan->aggs[i].distinct ? "(DISTINCT " : "(";
+          out += ScalarToString(plan->aggs[i].arg) + ")";
         }
       }
       out += "]";

@@ -306,29 +306,37 @@ std::string ScalarToString(const ScalarPtr& s,
           static_cast<size_t>(s->slot) < slot_names->size()) {
         return (*slot_names)[s->slot];
       }
-      return "#" + std::to_string(s->slot);
+      return std::string("#").append(std::to_string(s->slot));
     case ScalarKind::kLiteral:
       return s->value.ToString();
     case ScalarKind::kAccessParam:
       return "$$" + s->param;
-    case ScalarKind::kBinary:
-      return "(" + ScalarToString(s->left, slot_names) + " " +
-             BinOpText(s->bin_op) + " " + ScalarToString(s->right, slot_names) +
-             ")";
-    case ScalarKind::kUnary:
+    case ScalarKind::kBinary: {
+      std::string out = "(";
+      out += ScalarToString(s->left, slot_names);
+      out.append(" ").append(BinOpText(s->bin_op)).append(" ");
+      out += ScalarToString(s->right, slot_names) + ")";
+      return out;
+    }
+    case ScalarKind::kUnary: {
+      // A named operand: `"literal" + <temporary>` inserts at the front,
+      // which GCC 12 misreports under -Wrestrict.
+      const std::string operand = ScalarToString(s->operand, slot_names);
       switch (s->un_op) {
         case sql::UnOp::kNot:
-          return "(NOT " + ScalarToString(s->operand, slot_names) + ")";
+          return "(NOT " + operand + ")";
         case sql::UnOp::kNeg:
-          return "(-" + ScalarToString(s->operand, slot_names) + ")";
+          return "(-" + operand + ")";
         case sql::UnOp::kIsNull:
-          return "(" + ScalarToString(s->operand, slot_names) + " IS NULL)";
+          return "(" + operand + " IS NULL)";
         case sql::UnOp::kIsNotNull:
-          return "(" + ScalarToString(s->operand, slot_names) + " IS NOT NULL)";
+          return "(" + operand + " IS NOT NULL)";
       }
       return "?";
+    }
     case ScalarKind::kInList: {
-      std::string out = "(" + ScalarToString(s->operand, slot_names);
+      std::string out = "(";
+      out += ScalarToString(s->operand, slot_names);
       if (s->negated) out += " NOT";
       out += " IN (";
       for (size_t i = 0; i < s->in_list.size(); ++i) {

@@ -39,8 +39,9 @@ DatabaseOptions DefaultOptions() {
 }
 
 /// FNV fingerprint of the session parameterization (name -> value, in the
-/// map's sorted order) — the cache dimension that captures $user-id-style
-/// session parameters feeding view instantiation.
+/// map's sorted order) — the cache slot for $user-id-style session
+/// parameters feeding view instantiation. The cache compares the map itself
+/// on every hit.
 uint64_t SessionParamsFingerprint(const SessionContext& ctx) {
   uint64_t fp = 1469598103934665603ULL;
   for (const auto& [name, value] : ctx.params()) {
@@ -62,11 +63,10 @@ bool IsSystemObject(const std::string& name) {
   return name.rfind("fgac_", 0) == 0;
 }
 
-bool TouchesSystemTables(const PlanPtr& plan) {
-  for (const std::string& t : CollectBaseTables(plan)) {
-    if (IsSystemObject(t)) return true;
-  }
-  return false;
+/// Column values of the system-table snapshots.
+template <typename T>
+Value IntValue(T v) {
+  return Value::Int(static_cast<int64_t>(v));
 }
 
 /// StatusCode rendered the way audit consumers grep it: "not_authorized",
@@ -203,15 +203,21 @@ Database::~Database() {
 
 Result<ExecResult> Database::Execute(std::string_view sql,
                                      const SessionContext& ctx) {
+  Result<sql::StmtPtr> stmt = sql::Parser::ParseStatement(sql);
+  if (!stmt.ok()) {
+    AuditSessionStatement(ctx, std::string(sql), stmt.status());
+    return stmt.status();
+  }
+  return Execute(*stmt.value(), sql, ctx);
+}
+
+Result<ExecResult> Database::Execute(const sql::Stmt& stmt,
+                                     std::string_view sql,
+                                     const SessionContext& ctx) {
   auto t0 = std::chrono::steady_clock::now();
   common::AuditEvent ev = StartAudit(ctx, std::string(sql));
   ActivityScope activity_scope(activity_, ctx, ev.statement);
-  Result<sql::StmtPtr> stmt = sql::Parser::ParseStatement(sql);
-  if (!stmt.ok()) {
-    FinishAudit(&ev, stmt.status(), 0, t0);
-    return stmt.status();
-  }
-  Result<ExecResult> r = ExecuteStmt(*stmt.value(), ctx, &ev);
+  Result<ExecResult> r = ExecuteStmt(stmt, ctx, &ev);
   if (r.ok()) {
     FinishAudit(&ev, Status::OK(),
                 static_cast<int64_t>(r.value().relation.num_rows()) +
@@ -349,6 +355,7 @@ Result<PlanPtr> Database::BindQuery(const sql::SelectStmt& stmt,
 }
 
 Result<Relation> Database::RunPlan(const PlanPtr& plan,
+                                   const storage::DatabaseState& state,
                                    const SessionContext& ctx,
                                    common::QueryGuard* guard,
                                    exec::ExecStats* stats,
@@ -364,15 +371,15 @@ Result<Relation> Database::RunPlan(const PlanPtr& plan,
   if (g_current_activity != nullptr) {
     dag_opts.progress = &g_current_activity->progress();
   }
-  auto row_count = [this](const std::string& table) -> double {
-    const storage::TableData* t = state_.GetTable(table);
+  auto row_count = [&state](const std::string& table) -> double {
+    const storage::TableData* t = state.GetTable(table);
     return t == nullptr ? 1000.0 : static_cast<double>(t->num_rows());
   };
   FGAC_ASSIGN_OR_RETURN(
       optimizer::OptimizeResult best,
       optimizer::Optimize(plan, options_.exec_expand, row_count));
   if (stats != nullptr) stats->SetExecutedPlan(best.plan);
-  return exec::ParallelExecutePlan(best.plan, state_, threads, guard, stats,
+  return exec::ParallelExecutePlan(best.plan, state, threads, guard, stats,
                                    trace, dag_opts);
 }
 
@@ -597,10 +604,8 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
     }
   } completion_capture{guard, act, profile, audit};
 
-  // Admission control happens BEFORE any heavy work and before the system-
-  // table lock: a queued query holding system_tables_mu_ while admitted
-  // queries block on it would deadlock the slot/lock pair. The ticket's
-  // scope spans validity checking and execution.
+  // Admission control happens BEFORE any heavy work. The ticket's scope
+  // spans validity checking and execution.
   exec::AdmissionTicket admission_ticket;
   {
     exec::AdmissionRequest req;
@@ -619,15 +624,11 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
     }
   }
 
-  // Statements reading the fgac_ system tables re-materialize them first
-  // and hold the refresh mutex through execution, so a concurrent
-  // session's refresh cannot swap the rows out from under this scan (the
-  // whole statement — probes included — runs on this thread).
-  std::unique_lock<std::mutex> system_lock;
-  if (TouchesSystemTables(plan)) {
-    system_lock = std::unique_lock<std::mutex>(system_tables_mu_);
-    FGAC_RETURN_NOT_OK(RefreshSystemTables());
-  }
+  // The statement's one state, read by the validity probes and the
+  // execution alike: fgac_ tables are private snapshots over the live
+  // state, which no SELECT writes.
+  const std::vector<std::string> tables = CollectBaseTables(plan);
+  FGAC_ASSIGN_OR_RETURN(storage::DatabaseState state, StatementState(tables));
 
   ExecResult out;
   if (profile != nullptr) {
@@ -649,7 +650,7 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
         // per (principal, statement, session params) and only the cheap
         // placeholder substitution runs per call.
         StatementCache::Key key{ctx.user(), prep->stmt_fp, *prep->text,
-                                policy_epoch()};
+                                policy_epoch(), ctx.shared_params()};
         PlanPtr rewritten = stmt_cache_.LookupTrumanPlan(key, prep->params_fp);
         out.truman_plan_from_cache = rewritten != nullptr;
         if (out.truman_plan_from_cache && act != nullptr) act->NoteCacheHit();
@@ -683,7 +684,7 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
       // stored under the policy epoch and data version it was computed
       // against: a change racing the check leaves it stale, never fresh.
       const StatementCache::Key key{ctx.user(), prep->stmt_fp, *prep->text,
-                                    policy_epoch()};
+                                    policy_epoch(), ctx.shared_params()};
       const uint64_t checked_data_version = data_version();
       bool cached = options_.enable_validity_cache &&
                     stmt_cache_.LookupVerdict(key, prep->exec_fp,
@@ -711,7 +712,7 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
         }
         FGAC_ASSIGN_OR_RETURN(std::vector<InstantiatedView> views,
                               InstantiateAvailableViews(catalog_, ctx));
-        ValidityChecker checker(catalog_, &state_, ResolvedValidityOptions());
+        ValidityChecker checker(catalog_, &state, ResolvedValidityOptions());
         checker.set_guard(&guard);
         checker.set_trace(trace);
         checker.set_dag_options(exec::DagOptions{
@@ -779,9 +780,17 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
         // A verdict reached after the probe budget blew is sound to act on
         // once but must never be cached: with budget the check could have
         // proved more, and a cached entry would outlive the exhaustion.
+        // data_version() does not cover the fgac_ snapshots, so a
+        // statement reading one caches only an unconditional acceptance,
+        // the one verdict that holds in every state.
+        const bool state_independent =
+            out.validity.valid && out.validity.unconditional;
         if (out.validity.probe_budget_exhausted) {
           metrics_.counter("validity.probe_budget_exhausted").Increment();
-        } else if (options_.enable_validity_cache) {
+        } else if (options_.enable_validity_cache &&
+                   (state_independent ||
+                    std::none_of(tables.begin(), tables.end(),
+                                 IsSystemObject))) {
           stmt_cache_.InsertVerdict(key, prep->exec_fp, checked_data_version,
                                     out.validity, prep->args);
         }
@@ -818,7 +827,7 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
   Result<Relation> ran = [&] {
     common::ScopedSpan exec_span(tctx, "exec");
     common::TraceContext exec_ctx = exec_span.ChildContext();
-    return RunPlan(to_run, ctx, &guard, stats,
+    return RunPlan(to_run, state, ctx, &guard, stats,
                    tctx != nullptr ? &exec_ctx : nullptr);
   }();
   uint64_t exec_ns = elapsed_ns(exec_t0);
@@ -881,7 +890,7 @@ Result<std::shared_ptr<PreparedStatement>> Database::Prepare(
     prep->plan = plan;
     prep->plan_fp = algebra::PlanFingerprint(plan);
     prep->policy_epoch = policy_epoch();
-    prep->session_params_fp = SessionParamsFingerprint(ctx);
+    prep->session_params = ctx.shared_params();
     metrics_.counter("prepared.prepares").Increment();
     return prep;
   };
@@ -962,7 +971,7 @@ Result<ExecResult> Database::ExecutePreparedImpl(
     std::lock_guard<std::mutex> lock(prep.mu);
     uint64_t pe = policy_epoch();
     if (prep.plan == nullptr || prep.policy_epoch != pe ||
-        prep.session_params_fp != params_fp) {
+        !SameParams(*prep.session_params, ctx.params())) {
       algebra::Binder::Options options;
       options.params = ctx.params();
       options.defer_unbound_params = true;
@@ -971,7 +980,7 @@ Result<ExecResult> Database::ExecutePreparedImpl(
       prep.plan = std::move(plan);
       prep.plan_fp = algebra::PlanFingerprint(prep.plan);
       prep.policy_epoch = pe;
-      prep.session_params_fp = params_fp;
+      prep.session_params = ctx.shared_params();
       metrics_.counter("prepared.rebinds").Increment();
     }
     parameterized = prep.plan;
@@ -1156,7 +1165,9 @@ Result<ExecResult> Database::ExecuteExplain(const sql::ExplainStmt& stmt,
   } else if (ctx.mode() == EnforcementMode::kNonTruman) {
     FGAC_ASSIGN_OR_RETURN(std::vector<InstantiatedView> views,
                           InstantiateAvailableViews(catalog_, ctx));
-    ValidityChecker checker(catalog_, &state_, ResolvedValidityOptions());
+    FGAC_ASSIGN_OR_RETURN(storage::DatabaseState state,
+                          StatementState(CollectBaseTables(plan)));
+    ValidityChecker checker(catalog_, &state, ResolvedValidityOptions());
     FGAC_ASSIGN_OR_RETURN(ValidityReport report, checker.Check(plan, views));
     if (report.valid) {
       text += std::string("validity: ") +
@@ -1689,133 +1700,77 @@ void Database::BootstrapSystemTables() {
   (void)catalog_.SetTrumanView("fgac_activity", "fgac_my_activity");
 }
 
-Status Database::RefreshSystemTables() {
-  // Fault site for introspection tests: a statement reading an fgac_ table
-  // sees the refresh fail cleanly instead of scanning stale rows.
-  FGAC_FAULT_POINT("introspect.snapshot");
-  if (audit_ != nullptr) {
-    // Drain the ring first so the table reflects everything emitted before
-    // this statement started.
-    audit_->Flush();
-    storage::TableData* audit_table = state_.GetMutableTable("fgac_audit");
-    if (audit_table != nullptr) {
-      std::vector<Row> rows;
+Result<storage::DatabaseState> Database::StatementState(
+    const std::vector<std::string>& tables) {
+  storage::DatabaseState layer(&state_);
+  for (const std::string& table : tables) {
+    if (!IsSystemObject(table)) continue;
+    // Fault site for introspection tests: the reading statement fails
+    // cleanly instead of scanning stale rows.
+    FGAC_FAULT_POINT("introspect.snapshot");
+    std::vector<Row> rows;
+    if (table == "fgac_audit" && audit_ != nullptr) {
+      // Drain the ring first so the snapshot reflects everything emitted
+      // before this statement started.
+      audit_->Flush();
       for (const common::AuditEvent& e : audit_->SnapshotRetained()) {
-        Row r;
-        r.reserve(25);
-        r.push_back(Value::Int(static_cast<int64_t>(e.seq)));
-        r.push_back(Value::Int(e.wall_ms));
-        r.push_back(Value::String(e.user));
-        r.push_back(Value::String(e.session));
-        r.push_back(Value::String(e.mode));
-        r.push_back(Value::String(e.statement));
-        r.push_back(Value::String(common::AuditHashHex(e.statement_hash)));
-        r.push_back(Value::String(e.verdict));
-        r.push_back(Value::String(e.rules));
-        r.push_back(Value::Int(static_cast<int64_t>(e.probes)));
-        r.push_back(Value::Int(static_cast<int64_t>(e.guard_rows)));
-        r.push_back(Value::Int(static_cast<int64_t>(e.guard_bytes)));
-        r.push_back(Value::Int(e.duration_us));
-        r.push_back(Value::String(e.status));
-        r.push_back(Value::String(e.error));
-        r.push_back(Value::Int(static_cast<int64_t>(e.trace_id)));
-        r.push_back(Value::Bool(e.from_cache));
-        r.push_back(Value::Int(e.rows_out));
-        r.push_back(Value::Int(static_cast<int64_t>(e.admission_wait_us)));
-        r.push_back(Value::Int(static_cast<int64_t>(e.validity_us)));
-        r.push_back(Value::Int(static_cast<int64_t>(e.exec_us)));
-        r.push_back(Value::Int(static_cast<int64_t>(e.queue_wait_us)));
-        r.push_back(Value::Int(static_cast<int64_t>(e.run_us)));
-        r.push_back(Value::String(e.trace));
-        r.push_back(Value::String(e.stats));
-        rows.push_back(std::move(r));
+        rows.push_back(
+            {IntValue(e.seq), Value::Int(e.wall_ms), Value::String(e.user),
+             Value::String(e.session), Value::String(e.mode),
+             Value::String(e.statement),
+             Value::String(common::AuditHashHex(e.statement_hash)),
+             Value::String(e.verdict), Value::String(e.rules),
+             IntValue(e.probes), IntValue(e.guard_rows),
+             IntValue(e.guard_bytes), Value::Int(e.duration_us),
+             Value::String(e.status), Value::String(e.error),
+             IntValue(e.trace_id), Value::Bool(e.from_cache),
+             Value::Int(e.rows_out), IntValue(e.admission_wait_us),
+             IntValue(e.validity_us), IntValue(e.exec_us),
+             IntValue(e.queue_wait_us), IntValue(e.run_us),
+             Value::String(e.trace), Value::String(e.stats)});
       }
-      audit_table->ReplaceAllRows(std::move(rows));
+    } else if (table == "fgac_spans") {
+      for (const common::TraceSpan& sp : tracer_.Snapshot()) {
+        rows.push_back({IntValue(sp.trace_id), IntValue(sp.span_id),
+                        IntValue(sp.parent_id), Value::String(sp.name),
+                        Value::String(sp.user), Value::String(sp.detail),
+                        Value::Int(sp.start_us), Value::Int(sp.dur_us),
+                        IntValue(sp.thread_id)});
+      }
+    } else if (table == "fgac_sessions") {
+      for (const common::SessionActivitySnapshot& ss :
+           activity_.SnapshotSessions()) {
+        rows.push_back({Value::String(ss.session_id), Value::String(ss.user),
+                        Value::Bool(ss.active), IntValue(ss.in_flight),
+                        IntValue(ss.statements_run), IntValue(ss.cache_hits),
+                        Value::String(ss.current_statement),
+                        IntValue(ss.current_elapsed_us)});
+      }
+    } else if (table == "fgac_activity") {
+      for (const common::StatementActivitySnapshot& a :
+           activity_.SnapshotStatements()) {
+        rows.push_back(
+            {IntValue(a.seq), Value::String(a.session_id),
+             Value::String(a.user), Value::String(a.statement),
+             Value::String(common::StatementPhaseName(a.phase)),
+             IntValue(a.elapsed_us), IntValue(a.admission_wait_us),
+             IntValue(a.guard_rows), IntValue(a.guard_bytes),
+             IntValue(a.pipelines_total), IntValue(a.pipelines_done),
+             IntValue(a.queue_wait_us), IntValue(a.run_us)});
+      }
+    } else if (table == "fgac_statement_cache") {
+      for (const StatementCache::ShardStats& c : stmt_cache_.SnapshotShards()) {
+        rows.push_back({IntValue(c.shard), IntValue(c.entries),
+                        IntValue(c.hits), IntValue(c.misses),
+                        IntValue(c.evictions), IntValue(c.invalidations),
+                        IntValue(c.collisions)});
+      }
     }
+    FGAC_RETURN_NOT_OK(
+        layer.CreateTable(table, state_.GetTable(table)->num_columns()));
+    layer.GetMutableTable(table)->ReplaceAllRows(std::move(rows));
   }
-  storage::TableData* spans_table = state_.GetMutableTable("fgac_spans");
-  if (spans_table != nullptr) {
-    std::vector<Row> rows;
-    for (const common::TraceSpan& s : tracer_.Snapshot()) {
-      Row r;
-      r.reserve(9);
-      r.push_back(Value::Int(static_cast<int64_t>(s.trace_id)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.span_id)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.parent_id)));
-      r.push_back(Value::String(s.name));
-      r.push_back(Value::String(s.user));
-      r.push_back(Value::String(s.detail));
-      r.push_back(Value::Int(s.start_us));
-      r.push_back(Value::Int(s.dur_us));
-      r.push_back(Value::Int(static_cast<int64_t>(s.thread_id)));
-      rows.push_back(std::move(r));
-    }
-    spans_table->ReplaceAllRows(std::move(rows));
-  }
-  storage::TableData* sessions_table =
-      state_.GetMutableTable("fgac_sessions");
-  if (sessions_table != nullptr) {
-    std::vector<Row> rows;
-    for (const common::SessionActivitySnapshot& s :
-         activity_.SnapshotSessions()) {
-      Row r;
-      r.reserve(8);
-      r.push_back(Value::String(s.session_id));
-      r.push_back(Value::String(s.user));
-      r.push_back(Value::Bool(s.active));
-      r.push_back(Value::Int(static_cast<int64_t>(s.in_flight)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.statements_run)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.cache_hits)));
-      r.push_back(Value::String(s.current_statement));
-      r.push_back(Value::Int(static_cast<int64_t>(s.current_elapsed_us)));
-      rows.push_back(std::move(r));
-    }
-    sessions_table->ReplaceAllRows(std::move(rows));
-  }
-  storage::TableData* activity_table =
-      state_.GetMutableTable("fgac_activity");
-  if (activity_table != nullptr) {
-    std::vector<Row> rows;
-    for (const common::StatementActivitySnapshot& s :
-         activity_.SnapshotStatements()) {
-      Row r;
-      r.reserve(13);
-      r.push_back(Value::Int(static_cast<int64_t>(s.seq)));
-      r.push_back(Value::String(s.session_id));
-      r.push_back(Value::String(s.user));
-      r.push_back(Value::String(s.statement));
-      r.push_back(Value::String(common::StatementPhaseName(s.phase)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.elapsed_us)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.admission_wait_us)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.guard_rows)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.guard_bytes)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.pipelines_total)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.pipelines_done)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.queue_wait_us)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.run_us)));
-      rows.push_back(std::move(r));
-    }
-    activity_table->ReplaceAllRows(std::move(rows));
-  }
-  storage::TableData* cache_table =
-      state_.GetMutableTable("fgac_statement_cache");
-  if (cache_table != nullptr) {
-    std::vector<Row> rows;
-    for (const StatementCache::ShardStats& s : stmt_cache_.SnapshotShards()) {
-      Row r;
-      r.reserve(7);
-      r.push_back(Value::Int(static_cast<int64_t>(s.shard)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.entries)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.hits)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.misses)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.evictions)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.invalidations)));
-      r.push_back(Value::Int(static_cast<int64_t>(s.collisions)));
-      rows.push_back(std::move(r));
-    }
-    cache_table->ReplaceAllRows(std::move(rows));
-  }
-  return Status::OK();
+  return layer;
 }
 
 Result<ValidityReport> Database::CheckQueryValidity(std::string_view sql,
@@ -1825,7 +1780,9 @@ Result<ValidityReport> Database::CheckQueryValidity(std::string_view sql,
   FGAC_ASSIGN_OR_RETURN(PlanPtr plan, BindQuery(*stmt, ctx));
   FGAC_ASSIGN_OR_RETURN(std::vector<InstantiatedView> views,
                         InstantiateAvailableViews(catalog_, ctx));
-  ValidityChecker checker(catalog_, &state_, ResolvedValidityOptions());
+  FGAC_ASSIGN_OR_RETURN(storage::DatabaseState state,
+                        StatementState(CollectBaseTables(plan)));
+  ValidityChecker checker(catalog_, &state, ResolvedValidityOptions());
   return checker.Check(plan, views);
 }
 

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -127,6 +126,10 @@ class Database {
 
   /// Executes one statement under `ctx`'s enforcement mode.
   Result<ExecResult> Execute(std::string_view sql, const SessionContext& ctx);
+  /// Same, for a statement the caller already parsed from `sql`; the text
+  /// is what the audit event records.
+  Result<ExecResult> Execute(const sql::Stmt& stmt, std::string_view sql,
+                             const SessionContext& ctx);
 
   /// Executes a ';'-separated script as the administrator (no enforcement).
   /// Stops at the first error.
@@ -292,9 +295,10 @@ class Database {
     const std::map<std::string, Value>* bindings = nullptr;
   };
 
-  /// The post-bind SELECT pipeline: guard + admission, then the
-  /// enforcement switch (None / Truman / Non-Truman with caching), then
-  /// optimized parallel execution. `plan` is fully concrete (no open
+  /// The post-bind SELECT pipeline: guard + admission, then the statement
+  /// state (see StatementState), then the enforcement switch (None /
+  /// Truman / Non-Truman with caching), then optimized parallel execution
+  /// over that state. `plan` is fully concrete (no open
   /// placeholders). Validity and execution time are stamped on the
   /// statement's activity record. Trace and stats are collected into
   /// `profile` when given (EXPLAIN ANALYZE keeps them after a failure),
@@ -335,10 +339,11 @@ class Database {
   Result<ExecResult> ApplyAuthorize(const sql::AuthorizeStmt& stmt);
   Result<ExecResult> ApplyDrop(const sql::DropStmt& stmt);
 
-  /// Optimizes and executes a plan through the morsel-driven parallel
-  /// executor (serial when the resolved parallelism is 1). `guard` (may be
-  /// null) limits the execution.
+  /// Optimizes and executes a plan over `state` through the morsel-driven
+  /// parallel executor (serial when the resolved parallelism is 1). `guard`
+  /// (may be null) limits the execution.
   Result<storage::Relation> RunPlan(const algebra::PlanPtr& plan,
+                                    const storage::DatabaseState& state,
                                     const SessionContext& ctx,
                                     common::QueryGuard* guard,
                                     exec::ExecStats* stats = nullptr,
@@ -357,12 +362,15 @@ class Database {
   /// fgac_audit. Runs once in the constructor, before auditing starts.
   void BootstrapSystemTables();
 
-  /// Re-materializes the fgac_ system tables from their live sources (the
-  /// audit log's retained tail, the tracer's span buffer, the activity
-  /// registry, the statement-cache shards). Caller holds
-  /// system_tables_mu_. Fails only under fault injection
-  /// ("introspect.snapshot").
-  Status RefreshSystemTables();
+  /// The one state a SELECT reads, from its validity probes to its last
+  /// scan: the live state with a private snapshot of each fgac_ table among
+  /// `tables` (the bound plan's base tables) layered on top, built from
+  /// that table's registry (the audit log's retained tail, the tracer's
+  /// span buffer, the activity registry, the statement-cache shards). The
+  /// live fgac_ tables stay empty, so no SELECT writes shared storage.
+  /// Fails only under fault injection ("introspect.snapshot").
+  Result<storage::DatabaseState> StatementState(
+      const std::vector<std::string>& tables);
 
   /// Mirrors pull-model subsystem stats into export-time gauges (shared by
   /// the JSON and Prometheus exports).
@@ -391,10 +399,6 @@ class Database {
   /// Constructed after BootstrapSystemTables so bootstrap DDL is not
   /// audited; null only during construction.
   std::unique_ptr<common::AuditLog> audit_;
-  /// Serializes system-table refresh against scans of those tables: held
-  /// across refresh AND execution for any statement reading an fgac_
-  /// table, so a concurrent session's refresh cannot swap rows mid-scan.
-  std::mutex system_tables_mu_;
   /// Flips on after bootstrap; from then on fgac_ objects are read-only.
   bool system_tables_ready_ = false;
   /// Declared last: the watchdog thread samples activity_ / metrics_ /

@@ -26,6 +26,9 @@ enum class EnforcementMode {
 
 const char* EnforcementModeName(EnforcementMode mode);
 
+/// The `$` parameters of a session: name -> value.
+using SessionParams = std::map<std::string, Value>;
+
 /// Per-access execution context: the logged-in user and the values of the
 /// `$` parameters used by parameterized authorization views ("when a user
 /// logs in, a secure application context is created", Section 3.1).
@@ -34,10 +37,11 @@ class SessionContext {
  public:
   SessionContext() : session_id_(NextSessionId()) {}
   explicit SessionContext(std::string user)
-      : user_(std::move(user)), session_id_(NextSessionId()) {
-    params_["user-id"] = Value::String(user_);
-    params_["user_id"] = Value::String(user_);
-  }
+      : user_(std::move(user)),
+        session_id_(NextSessionId()),
+        params_(std::make_shared<const SessionParams>(
+            SessionParams{{"user-id", Value::String(user_)},
+                          {"user_id", Value::String(user_)}})) {}
 
   const std::string& user() const { return user_; }
 
@@ -46,10 +50,21 @@ class SessionContext {
   const std::string& session_id() const { return session_id_; }
   void set_session_id(std::string id) { session_id_ = std::move(id); }
 
-  /// Sets a `$` parameter (e.g. "time", "user-location").
-  void SetParam(const std::string& name, Value v) { params_[name] = v; }
+  /// Sets a `$` parameter (e.g. "time", "user-location"). The map is
+  /// immutable and shared by copies of this context, so setting one
+  /// replaces it.
+  void SetParam(const std::string& name, Value v) {
+    auto params = std::make_shared<SessionParams>(*params_);
+    (*params)[name] = std::move(v);
+    params_ = std::move(params);
+  }
 
-  const std::map<std::string, Value>& params() const { return params_; }
+  const SessionParams& params() const { return *params_; }
+  /// The shared map behind params(): the statement cache keeps it with
+  /// each entry variant instead of a copy.
+  const std::shared_ptr<const SessionParams>& shared_params() const {
+    return params_;
+  }
 
   EnforcementMode mode() const { return mode_; }
   void set_mode(EnforcementMode mode) { mode_ = mode; }
@@ -111,13 +126,14 @@ class SessionContext {
  private:
   static std::string NextSessionId() {
     static std::atomic<uint64_t> next{0};
-    return "s" + std::to_string(next.fetch_add(1, std::memory_order_relaxed) +
-                                1);
+    const uint64_t id = next.fetch_add(1, std::memory_order_relaxed) + 1;
+    return std::string("s").append(std::to_string(id));
   }
 
   std::string user_;
   std::string session_id_;
-  std::map<std::string, Value> params_;
+  std::shared_ptr<const SessionParams> params_ =
+      std::make_shared<const SessionParams>();
   EnforcementMode mode_ = EnforcementMode::kNonTruman;
   size_t exec_parallelism_ = 0;
   uint32_t scheduler_weight_ = 1;

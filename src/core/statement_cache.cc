@@ -14,15 +14,23 @@ namespace {
 
 /// Exact equality, kind included: a verdict for `k = 3` is not reused for
 /// `k = 3.0`, just as the ad-hoc texts of the two differ.
+bool SameValue(const Value& a, const Value& b) {
+  return a.kind() == b.kind() && a == b;
+}
+
 bool SameArgs(const std::vector<Value>& a, const std::vector<Value>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].kind() != b[i].kind() || !(a[i] == b[i])) return false;
-  }
-  return true;
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), SameValue);
 }
 
 }  // namespace
+
+bool SameParams(const SessionParams& a, const SessionParams& b) {
+  if (&a == &b) return true;  // one shared map
+  auto same = [](const auto& x, const auto& y) {
+    return x.first == y.first && SameValue(x.second, y.second);
+  };
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), same);
+}
 
 uint64_t StatementCache::EntryKey(const std::string& user,
                                   uint64_t stmt_fp) const {
@@ -106,9 +114,15 @@ algebra::PlanPtr StatementCache::LookupTrumanPlan(const Key& key,
   if (entry != nullptr) {
     auto it = entry->truman_plans.find(params_fp);
     if (it != entry->truman_plans.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+      if (SameParams(*it->second.params, *key.params)) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        shard.hits.fetch_add(1, std::memory_order_relaxed);
+        return it->second.plan;
+      }
+      // The parameter fingerprint collided: the plan instantiates other
+      // session parameters.
+      collisions_.fetch_add(1, std::memory_order_relaxed);
+      shard.collisions.fetch_add(1, std::memory_order_relaxed);
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
@@ -126,7 +140,7 @@ void StatementCache::InsertTrumanPlan(const Key& key, uint64_t params_fp,
       entry.truman_plans.find(params_fp) == entry.truman_plans.end()) {
     entry.truman_plans.erase(entry.truman_plans.begin());
   }
-  entry.truman_plans[params_fp] = std::move(plan);
+  entry.truman_plans[params_fp] = CachedTrumanPlan{std::move(plan), key.params};
 }
 
 bool StatementCache::LookupVerdict(const Key& key, uint64_t exec_fp,
@@ -144,9 +158,9 @@ bool StatementCache::LookupVerdict(const Key& key, uint64_t exec_fp,
       // conditional verdicts and rejections hinge on the rows present when
       // they were computed.
       bool data_sensitive = !v.report.valid || !v.report.unconditional;
-      if (!SameArgs(v.args, args)) {
-        // The argument fingerprint collided: the verdict is for other
-        // constants.
+      if (!SameParams(*v.params, *key.params) || !SameArgs(v.args, args)) {
+        // The fingerprint collided: the verdict is for other session
+        // parameters or other constants.
         collisions_.fetch_add(1, std::memory_order_relaxed);
         shard.collisions.fetch_add(1, std::memory_order_relaxed);
       } else if (data_sensitive && v.data_version != data_version) {
@@ -180,6 +194,7 @@ void StatementCache::InsertVerdict(const Key& key, uint64_t exec_fp,
   CachedVerdict v;
   v.report = std::move(report);
   v.data_version = data_version;
+  v.params = key.params;
   v.args = std::move(args);
   entry.verdicts[exec_fp] = std::move(v);
 }

@@ -14,6 +14,7 @@
 
 #include "algebra/plan.h"
 #include "common/value.h"
+#include "core/session_context.h"
 #include "core/validity.h"
 #include "sql/ast.h"
 
@@ -25,8 +26,9 @@ namespace fgac::core {
 /// EXECUTE keeps the object alive and drains cleanly.
 ///
 /// The bind state under `mu` is a cache: ExecutePrepared revalidates it
-/// against the current policy epoch / session-parameter fingerprint and
-/// rebinds on any mismatch (fail-closed — a stale plan is never executed).
+/// against the current policy epoch and session parameters (compared
+/// exactly) and rebinds on any mismatch (fail-closed — a stale plan is
+/// never executed).
 struct PreparedStatement {
   std::string name;
   /// Canonical SQL of the body (printer-rendered), the full-text tiebreak
@@ -41,8 +43,12 @@ struct PreparedStatement {
   algebra::PlanPtr plan;  // parameterized: placeholders still unbound
   uint64_t plan_fp = 0;
   uint64_t policy_epoch = 0;
-  uint64_t session_params_fp = 0;
+  std::shared_ptr<const SessionParams> session_params;
 };
+
+/// Exact equality of two session parameterizations, kind included: int 3
+/// and double 3.0 differ, although they compare and hash equal as values.
+bool SameParams(const SessionParams& a, const SessionParams& b);
 
 /// Sharded per-principal enforcement cache (paper Section 5.6 taken to
 /// steady state), and the engine's one validity-verdict cache: once a
@@ -56,14 +62,16 @@ struct PreparedStatement {
 /// fingerprint collision between distinct statements or principals
 /// degrades to a miss, never to a cross-statement reuse. Each entry
 /// carries:
-///   * Truman-rewritten parameterized plans, keyed by the session-parameter
-///     fingerprint (the rewrite instantiates policy views with session
-///     parameters, but is independent of EXECUTE arguments);
-///   * Non-Truman validity verdicts, keyed by the (session params +
+///   * Truman-rewritten parameterized plans, slotted by the
+///     session-parameter fingerprint (the rewrite instantiates policy views
+///     with session parameters, but is independent of EXECUTE arguments);
+///   * Non-Truman validity verdicts, slotted by the (session params +
 ///     EXECUTE arguments) fingerprint, since the verdict may hinge on the
-///     concrete constants. Each verdict stores the argument values and a
-///     hit compares them exactly; ad-hoc verdicts store none, because
-///     their constants are in the text.
+///     concrete constants. Each verdict stores the argument values; ad-hoc
+///     verdicts store none, because their constants are in the text.
+/// Every variant stores the session parameters it was computed for, and a
+/// hit compares them (and a verdict's arguments) exactly: the fingerprint
+/// only picks the slot, and a colliding slot is a miss.
 ///
 /// Invalidation is fail-closed and two-level. The entry records the
 /// catalog's policy epoch it was built under; a lookup under any other
@@ -94,10 +102,13 @@ class StatementCache {
     uint64_t stmt_fp;
     const std::string& text;
     uint64_t policy_epoch;
+    /// The session parameterization (SessionContext::shared_params),
+    /// stored with each variant and compared exactly on every hit.
+    const std::shared_ptr<const SessionParams>& params;
   };
 
   /// Returns the cached Truman-rewritten parameterized plan for the
-  /// session-parameter fingerprint, or nullptr.
+  /// session parameters (slotted by their fingerprint), or nullptr.
   algebra::PlanPtr LookupTrumanPlan(const Key& key, uint64_t params_fp);
   void InsertTrumanPlan(const Key& key, uint64_t params_fp,
                         algebra::PlanPtr plan);
@@ -125,7 +136,8 @@ class StatementCache {
     return invalidations_.load(std::memory_order_relaxed);
   }
   /// Lookups that matched a fingerprint but not the principal, the
-  /// statement text or the verdict's argument values.
+  /// statement text, the session parameters or the verdict's argument
+  /// values.
   uint64_t collisions() const {
     return collisions_.load(std::memory_order_relaxed);
   }
@@ -145,9 +157,15 @@ class StatementCache {
   std::vector<ShardStats> SnapshotShards() const;
 
  private:
+  struct CachedTrumanPlan {
+    algebra::PlanPtr plan;
+    std::shared_ptr<const SessionParams> params;
+  };
+
   struct CachedVerdict {
     ValidityReport report;
     uint64_t data_version = 0;
+    std::shared_ptr<const SessionParams> params;
     std::vector<Value> args;
   };
 
@@ -155,7 +173,7 @@ class StatementCache {
     std::string user;
     std::string text;
     uint64_t policy_epoch = 0;
-    std::map<uint64_t, algebra::PlanPtr> truman_plans;
+    std::map<uint64_t, CachedTrumanPlan> truman_plans;
     std::map<uint64_t, CachedVerdict> verdicts;
     std::list<uint64_t>::iterator lru_pos;
   };

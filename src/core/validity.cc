@@ -1299,19 +1299,19 @@ Result<PlanPtr> ValidityChecker::ExtractWitness() const {
 Result<storage::Relation> ValidityChecker::ExecuteWitness(
     const PlanPtr& witness, const std::vector<InstantiatedView>& views,
     const storage::DatabaseState& state) {
-  storage::DatabaseState augmented = state.Clone();
+  storage::DatabaseState views_state(&state);
   for (const InstantiatedView& v : views) {
     if (v.is_access_pattern()) continue;
     FGAC_ASSIGN_OR_RETURN(storage::Relation rel,
                           exec::ExecutePlan(v.plan, state));
     FGAC_RETURN_NOT_OK(
-        augmented.CreateTable("view:" + v.name, rel.num_columns()));
-    augmented.GetMutableTable("view:" + v.name)
+        views_state.CreateTable("view:" + v.name, rel.num_columns()));
+    views_state.GetMutableTable("view:" + v.name)
         ->ReplaceAllRows(std::move(rel.mutable_rows()));
   }
   // The witness may reference only the pseudo-tables, but evaluating over
-  // the augmented state is equivalent and simpler.
-  return exec::ExecutePlan(witness, augmented);
+  // them layered on `state` is equivalent and simpler.
+  return exec::ExecutePlan(witness, views_state);
 }
 
 Result<ValidityReport> ValidityChecker::Check(

@@ -176,7 +176,7 @@ class ValidityChecker {
   Result<algebra::PlanPtr> ExtractWitness() const;
 
   /// Executes a witness plan: materializes each instantiated view into a
-  /// pseudo-table "view:<name>" over a clone of `state` and evaluates the
+  /// pseudo-table "view:<name>" in a layer over `state` and evaluates the
   /// plan against only those pseudo-tables.
   static Result<storage::Relation> ExecuteWitness(
       const algebra::PlanPtr& witness,

@@ -115,7 +115,9 @@ std::string ExecStats::Render() const {
   out.push_back('\n');
   if (threads_ > 1 && !worker_morsels_.empty()) {
     out += "morsels per worker:";
-    for (uint64_t m : worker_morsels_) out += " " + std::to_string(m);
+    for (uint64_t m : worker_morsels_) {
+      out.append(" ").append(std::to_string(m));
+    }
     out.push_back('\n');
   }
   std::vector<PipelineStat> pipelines = pipeline_stats();
@@ -135,7 +137,7 @@ std::string ExecStats::Render() const {
         out += " deps=";
         for (size_t d = 0; d < p.deps.size(); ++d) {
           if (d > 0) out.push_back(',');
-          out += "p" + std::to_string(p.deps[d]);
+          out.append("p").append(std::to_string(p.deps[d]));
         }
       }
       out += "]\n";

@@ -79,7 +79,7 @@ Result<ExecResult> Session::Execute(std::string_view sql) {
                            ctx);
     case sql::StmtKind::kExplain: {
       const auto& ex = static_cast<const sql::ExplainStmt&>(stmt);
-      if (ex.execute == nullptr) return db_.Execute(sql, ctx);
+      if (ex.execute == nullptr) return db_.Execute(stmt, sql, ctx);
       // EXPLAIN [ANALYZE] EXECUTE resolves against THIS session's registry
       // (same scoping as EXECUTE itself).
       std::shared_ptr<core::PreparedStatement> prep;
@@ -97,7 +97,7 @@ Result<ExecResult> Session::Execute(std::string_view sql) {
       return db_.ExplainPrepared(ex, prep, ctx);
     }
     default:
-      return db_.Execute(sql, ctx);
+      return db_.Execute(stmt, sql, ctx);
   }
 }
 

@@ -38,7 +38,9 @@ std::string TypeNameSql(TypeName t) {
 }
 
 std::string ColumnList(const std::vector<std::string>& cols) {
-  return "(" + Join(cols, ", ") + ")";
+  std::string out = "(";
+  out += Join(cols, ", ") + ")";
+  return out;
 }
 
 }  // namespace
@@ -55,21 +57,28 @@ std::string ExprToSql(const ExprPtr& expr) {
       return "$" + expr->param_name;
     case ExprKind::kAccessParam:
       return "$$" + expr->param_name;
-    case ExprKind::kBinary:
-      return "(" + ExprToSql(expr->left) + " " + BinOpSql(expr->bin_op) + " " +
-             ExprToSql(expr->right) + ")";
-    case ExprKind::kUnary:
+    case ExprKind::kBinary: {
+      std::string out = "(";
+      out += ExprToSql(expr->left) + " " + BinOpSql(expr->bin_op) + " ";
+      out += ExprToSql(expr->right) + ")";
+      return out;
+    }
+    case ExprKind::kUnary: {
+      // A named operand: `"literal" + <temporary>` inserts at the front,
+      // which GCC 12 misreports under -Wrestrict.
+      const std::string operand = ExprToSql(expr->operand);
       switch (expr->un_op) {
         case UnOp::kNot:
-          return "(NOT " + ExprToSql(expr->operand) + ")";
+          return "(NOT " + operand + ")";
         case UnOp::kNeg:
-          return "(-" + ExprToSql(expr->operand) + ")";
+          return "(-" + operand + ")";
         case UnOp::kIsNull:
-          return "(" + ExprToSql(expr->operand) + " IS NULL)";
+          return "(" + operand + " IS NULL)";
         case UnOp::kIsNotNull:
-          return "(" + ExprToSql(expr->operand) + " IS NOT NULL)";
+          return "(" + operand + " IS NOT NULL)";
       }
       return "?";
+    }
     case ExprKind::kFuncCall: {
       std::string out = expr->func_name + "(";
       if (expr->star_arg) {
@@ -85,7 +94,8 @@ std::string ExprToSql(const ExprPtr& expr) {
       return out;
     }
     case ExprKind::kInList: {
-      std::string out = "(" + ExprToSql(expr->operand);
+      std::string out = "(";
+      out += ExprToSql(expr->operand);
       if (expr->negated) out += " NOT";
       out += " IN (";
       for (size_t i = 0; i < expr->in_list.size(); ++i) {
@@ -96,7 +106,8 @@ std::string ExprToSql(const ExprPtr& expr) {
       return out;
     }
     case ExprKind::kBetween: {
-      std::string out = "(" + ExprToSql(expr->operand);
+      std::string out = "(";
+      out += ExprToSql(expr->operand);
       if (expr->negated) out += " NOT";
       out += " BETWEEN " + ExprToSql(expr->left) + " AND " +
              ExprToSql(expr->right) + ")";
@@ -112,9 +123,11 @@ std::string TableRefToSql(const TableRefPtr& ref) {
     if (ref->alias.empty() || ref->alias == ref->name) return ref->name;
     return ref->name + " AS " + ref->alias;
   }
-  return "(" + TableRefToSql(ref->join_left) + " JOIN " +
-         TableRefToSql(ref->join_right) + " ON " + ExprToSql(ref->join_on) +
-         ")";
+  std::string out = "(";
+  out += TableRefToSql(ref->join_left) + " JOIN ";
+  out += TableRefToSql(ref->join_right) + " ON ";
+  out += ExprToSql(ref->join_on) + ")";
+  return out;
 }
 
 std::string SelectToSql(const SelectStmt& stmt) {
@@ -179,7 +192,9 @@ std::string StmtToSql(const Stmt& stmt) {
       for (const ForeignKeyClause& fk : s.foreign_keys) {
         out += ", FOREIGN KEY " + ColumnList(fk.columns) + " REFERENCES " +
                fk.ref_table;
-        if (!fk.ref_columns.empty()) out += " " + ColumnList(fk.ref_columns);
+        if (!fk.ref_columns.empty()) {
+          out.append(" ").append(ColumnList(fk.ref_columns));
+        }
       }
       out += ")";
       return out;
@@ -202,7 +217,7 @@ std::string StmtToSql(const Stmt& stmt) {
     case StmtKind::kInsert: {
       const auto& s = static_cast<const InsertStmt&>(stmt);
       std::string out = "INSERT INTO " + s.table;
-      if (!s.columns.empty()) out += " " + ColumnList(s.columns);
+      if (!s.columns.empty()) out.append(" ").append(ColumnList(s.columns));
       out += " VALUES ";
       for (size_t r = 0; r < s.rows.size(); ++r) {
         if (r > 0) out += ", ";
@@ -275,7 +290,7 @@ std::string StmtToSql(const Stmt& stmt) {
         case AuthorizeStmt::Op::kDelete: out += "DELETE"; break;
       }
       out += " ON " + s.table;
-      if (!s.columns.empty()) out += " " + ColumnList(s.columns);
+      if (!s.columns.empty()) out.append(" ").append(ColumnList(s.columns));
       if (s.where != nullptr) out += " WHERE " + ExprToSql(s.where);
       return out;
     }

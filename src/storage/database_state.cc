@@ -8,7 +8,7 @@ void DatabaseState::SetMemoryTracker(common::MemoryTracker* tracker) {
 }
 
 Status DatabaseState::CreateTable(const std::string& name, size_t num_columns) {
-  if (HasTable(name)) {
+  if (tables_.count(name) > 0) {
     return Status::CatalogError("table data for '" + name + "' already exists");
   }
   auto it = tables_.emplace(name, TableData(num_columns)).first;
@@ -30,12 +30,13 @@ Status DatabaseState::DropTable(const std::string& name) {
 }
 
 bool DatabaseState::HasTable(const std::string& name) const {
-  return tables_.count(name) > 0;
+  return GetTable(name) != nullptr;
 }
 
 const TableData* DatabaseState::GetTable(const std::string& name) const {
   auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
+  if (it != tables_.end()) return &it->second;
+  return base_ == nullptr ? nullptr : base_->GetTable(name);
 }
 
 TableData* DatabaseState::GetMutableTable(const std::string& name) {

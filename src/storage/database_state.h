@@ -14,9 +14,20 @@ namespace fgac::storage {
 /// terminology (Definitions 4.1–4.3). Cloneable so tests can construct
 /// PA-equivalent states by mutating tuples invisible to the authorization
 /// views and re-running queries.
+///
+/// A state can also be a layer over a read-only `base`: tables created in
+/// the layer are found first, and every other name reads through to the
+/// base. One statement's private tables (system-table snapshots, witness
+/// pseudo-tables) live in such a layer, so reading them writes nothing the
+/// base's other readers can see. Clone, TotalRows and DataVersion cover a
+/// layer's own tables only.
 class DatabaseState {
  public:
   DatabaseState() = default;
+  /// A layer over `base`, which must outlive it. Inherits base's memory
+  /// tracker, so the layer's columnar snapshots are charged too.
+  explicit DatabaseState(const DatabaseState* base)
+      : base_(base), tracker_(base->tracker_) {}
   DatabaseState(const DatabaseState&) = delete;
   DatabaseState& operator=(const DatabaseState&) = delete;
   DatabaseState(DatabaseState&&) = default;
@@ -27,10 +38,13 @@ class DatabaseState {
   /// nullptr to detach. Not thread-safe against concurrent scans.
   void SetMemoryTracker(common::MemoryTracker* tracker);
 
+  /// Creates the table in this state; in a layer it shadows the base's
+  /// table of the same name.
   Status CreateTable(const std::string& name, size_t num_columns);
   Status DropTable(const std::string& name);
   bool HasTable(const std::string& name) const;
   const TableData* GetTable(const std::string& name) const;
+  /// This state's own tables only: a layer never writes its base.
   TableData* GetMutableTable(const std::string& name);
 
   /// Deep copy (rows are value types).
@@ -48,6 +62,7 @@ class DatabaseState {
 
  private:
   std::map<std::string, TableData> tables_;
+  const DatabaseState* base_ = nullptr;
   common::MemoryTracker* tracker_ = nullptr;
   /// Structural changes; absorbs the version of dropped tables so the
   /// aggregate never repeats a previously observed value.

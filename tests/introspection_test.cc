@@ -563,10 +563,51 @@ TEST_F(IntrospectionTest, SnapshotFaultFailsTheQueryingStatementOnly) {
   auto r = db_.Execute("select * from fgac_sessions", admin);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
-  // The failure is confined to the refresh: the next statement refreshes
-  // and reads normally, and non-system statements never hit the site.
+  // The failure is confined to that statement's snapshot: the next
+  // statement takes its own and reads normally, and non-system statements
+  // never hit the site.
   EXPECT_TRUE(db_.Execute("select * from students", admin).ok());
   EXPECT_TRUE(db_.Execute("select * from fgac_sessions", admin).ok());
+}
+
+// ---------------------------------------------------------------------------
+// System-table readers beside enforced SELECTs
+// ---------------------------------------------------------------------------
+
+TEST_F(IntrospectionTest, SystemTableReadersRunBesideEnforcedSelects) {
+  // Reading an fgac_ table snapshots it privately and writes no shared
+  // storage, so an observer needs no lock against Non-Truman SELECTs whose
+  // C3 verdicts read the data version and whose probes scan the tables.
+  ASSERT_TRUE(db_.ExecuteScript("grant select on costudentgrades to 11;"
+                                "grant select on myregistrations to 11")
+                  .ok());
+  const int iters = StressRepeat(20);
+  std::atomic<int> failures{0};
+  auto student = [&] {
+    SessionContext ctx("11");
+    ctx.set_mode(EnforcementMode::kNonTruman);
+    for (int i = 0; i < iters; ++i) {
+      auto r = db_.Execute("select * from grades where course-id = 'cs101'",
+                           ctx);
+      if (!r.ok() || r.value().validity.unconditional) ++failures;
+    }
+  };
+  auto observer = [&] {
+    SessionContext admin("admin");
+    admin.set_mode(EnforcementMode::kNone);
+    for (int i = 0; i < iters; ++i) {
+      if (!db_.Execute("select count(*) from fgac_statement_cache", admin)
+               .ok() ||
+          !db_.Execute("select * from fgac_audit", admin).ok()) {
+        ++failures;
+      }
+    }
+  };
+  std::thread s1(student), s2(student), obs(observer);
+  s1.join();
+  s2.join();
+  obs.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 // regression tests: a cached verdict or rewrite must never outlive a
 // change to the policy state it was computed under.
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,10 +38,12 @@ ValidityReport Accepted(bool unconditional) {
 
 algebra::PlanPtr TrivialPlan() { return algebra::MakeGet("t", {"a"}); }
 
+const auto kNoParams = std::make_shared<const core::SessionParams>();
+
 TEST(StatementCacheTest, TrumanPlanHitAfterInsert) {
   StatementCache cache;
   std::string user = "u", text = "select a from t";
-  StatementCache::Key key{user, 7, text, 1};
+  StatementCache::Key key{user, 7, text, 1, kNoParams};
   EXPECT_EQ(cache.LookupTrumanPlan(key, 1), nullptr);
   cache.InsertTrumanPlan(key, 1, TrivialPlan());
   EXPECT_NE(cache.LookupTrumanPlan(key, 1), nullptr);
@@ -52,8 +55,8 @@ TEST(StatementCacheTest, TrumanPlanHitAfterInsert) {
 TEST(StatementCacheTest, KeyedByPrincipal) {
   StatementCache cache;
   std::string alice = "alice", bob = "bob", text = "select a from t";
-  StatementCache::Key ka{alice, 7, text, 1};
-  StatementCache::Key kb{bob, 7, text, 1};
+  StatementCache::Key ka{alice, 7, text, 1, kNoParams};
+  StatementCache::Key kb{bob, 7, text, 1, kNoParams};
   cache.InsertTrumanPlan(ka, 1, TrivialPlan());
   EXPECT_EQ(cache.LookupTrumanPlan(kb, 1), nullptr);
   EXPECT_NE(cache.LookupTrumanPlan(ka, 1), nullptr);
@@ -62,11 +65,11 @@ TEST(StatementCacheTest, KeyedByPrincipal) {
 TEST(StatementCacheTest, PolicyEpochFailsClosed) {
   StatementCache cache;
   std::string user = "u", text = "select a from t";
-  StatementCache::Key key{user, 7, text, 1};
+  StatementCache::Key key{user, 7, text, 1, kNoParams};
   cache.InsertTrumanPlan(key, 1, TrivialPlan());
   cache.InsertVerdict(key, 9, 1, Accepted(true));
   // The catalog moved: the whole entry (plans AND verdicts) is discarded.
-  StatementCache::Key newer{user, 7, text, 2};
+  StatementCache::Key newer{user, 7, text, 2, kNoParams};
   ValidityReport out;
   EXPECT_FALSE(cache.LookupVerdict(newer, 9, 1, &out));
   EXPECT_EQ(cache.LookupTrumanPlan(key, 1), nullptr);
@@ -81,8 +84,8 @@ TEST(StatementCacheTest, TextMismatchIsAMissNeverAWrongReuse) {
   // statement must miss rather than inherit the first one's plans.
   std::string user = "u";
   std::string text1 = "select a from t", text2 = "select b from t";
-  StatementCache::Key k1{user, 7, text1, 1};
-  StatementCache::Key k2{user, 7, text2, 1};
+  StatementCache::Key k1{user, 7, text1, 1, kNoParams};
+  StatementCache::Key k2{user, 7, text2, 1, kNoParams};
   cache.InsertTrumanPlan(k1, 1, TrivialPlan());
   EXPECT_EQ(cache.LookupTrumanPlan(k2, 1), nullptr);
   EXPECT_GE(cache.collisions(), 1u);
@@ -101,8 +104,8 @@ TEST(StatementCacheTest, PrincipalMismatchIsAMissNeverAWrongReuse) {
   const uint64_t prime = 1099511628211ULL;
   const uint64_t fp_b = 7 ^ (std::hash<std::string>()(alice) * prime) ^
                         (std::hash<std::string>()(bob) * prime);
-  StatementCache::Key ka{alice, 7, text, 1};
-  StatementCache::Key kb{bob, fp_b, text, 1};
+  StatementCache::Key ka{alice, 7, text, 1, kNoParams};
+  StatementCache::Key kb{bob, fp_b, text, 1, kNoParams};
   cache.InsertTrumanPlan(ka, 1, TrivialPlan());
   cache.InsertVerdict(ka, 1, 1, Accepted(true));
   ValidityReport out;
@@ -119,7 +122,7 @@ TEST(StatementCacheTest, PrincipalMismatchIsAMissNeverAWrongReuse) {
 TEST(StatementCacheTest, VerdictDataVersionRule) {
   StatementCache cache;
   std::string user = "u", text = "select a from t";
-  StatementCache::Key key{user, 7, text, 1};
+  StatementCache::Key key{user, 7, text, 1, kNoParams};
   cache.InsertVerdict(key, 1, /*data_version=*/5, Accepted(true));
   cache.InsertVerdict(key, 2, /*data_version=*/5, Accepted(false));
   ValidityReport rejected;
@@ -135,7 +138,7 @@ TEST(StatementCacheTest, VerdictDataVersionRule) {
 TEST(StatementCacheTest, ProbeBudgetExhaustedVerdictsAreNotCached) {
   StatementCache cache;
   std::string user = "u", text = "select a from t";
-  StatementCache::Key key{user, 7, text, 1};
+  StatementCache::Key key{user, 7, text, 1, kNoParams};
   ValidityReport budget = Accepted(true);
   budget.probe_budget_exhausted = true;
   cache.InsertVerdict(key, 1, 1, budget);
@@ -149,7 +152,7 @@ TEST(StatementCacheTest, LruEvictionBoundsEntries) {
   StatementCache cache(/*max_entries=*/StatementCache::kShards);
   std::string user = "u", text = "q";
   for (uint64_t fp = 0; fp < 4 * StatementCache::kShards; ++fp) {
-    StatementCache::Key key{user, fp, text, 1};
+    StatementCache::Key key{user, fp, text, 1, kNoParams};
     cache.InsertTrumanPlan(key, 1, TrivialPlan());
   }
   EXPECT_LE(cache.size(), StatementCache::kShards);
@@ -162,7 +165,7 @@ TEST(StatementCacheTest, RecentlyUsedEntrySurvivesEviction) {
   StatementCache cache(/*max_entries=*/2 * StatementCache::kShards);
   std::string user = "u", text = "q";
   auto key = [&](uint64_t fp) {
-    return StatementCache::Key{user, fp, text, 1};
+    return StatementCache::Key{user, fp, text, 1, kNoParams};
   };
   const uint64_t a = 1, b = a + StatementCache::kShards,
                  c = b + StatementCache::kShards;
@@ -180,7 +183,7 @@ TEST(StatementCacheTest, RecentlyUsedEntrySurvivesEviction) {
 TEST(StatementCacheTest, VerdictArgumentsAreComparedExactly) {
   StatementCache cache;
   std::string user = "u", text = "select a from t where a = $1";
-  StatementCache::Key key{user, 7, text, 1};
+  StatementCache::Key key{user, 7, text, 1, kNoParams};
   cache.InsertVerdict(key, 9, 1, Accepted(true), {Value::Int(4)});
   ValidityReport out;
   EXPECT_TRUE(cache.LookupVerdict(key, 9, 1, &out, {Value::Int(4)}));
@@ -191,10 +194,31 @@ TEST(StatementCacheTest, VerdictArgumentsAreComparedExactly) {
   EXPECT_GE(cache.collisions(), 3u);
 }
 
+TEST(StatementCacheTest, SessionParamsAreComparedExactly) {
+  StatementCache cache;
+  std::string user = "u", text = "select a from t";
+  using core::SessionParams;
+  const auto p1 = std::make_shared<const SessionParams>(
+      SessionParams{{"a", Value::Int(4)}});
+  const auto p2 = std::make_shared<const SessionParams>(
+      SessionParams{{"a", Value::Double(4.0)}});
+  StatementCache::Key k1{user, 7, text, 1, p1};
+  StatementCache::Key k2{user, 7, text, 1, p2};
+  cache.InsertTrumanPlan(k1, 9, TrivialPlan());
+  cache.InsertVerdict(k1, 9, 1, Accepted(true));
+  ValidityReport out;
+  EXPECT_NE(cache.LookupTrumanPlan(k1, 9), nullptr);
+  EXPECT_TRUE(cache.LookupVerdict(k1, 9, 1, &out));
+  // Same slot, other parameter values (here only the kind): a miss.
+  EXPECT_EQ(cache.LookupTrumanPlan(k2, 9), nullptr);
+  EXPECT_FALSE(cache.LookupVerdict(k2, 9, 1, &out));
+  EXPECT_EQ(cache.collisions(), 2u);
+}
+
 TEST(StatementCacheTest, VariantMapsAreBounded) {
   StatementCache cache;
   std::string user = "u", text = "q";
-  StatementCache::Key key{user, 7, text, 1};
+  StatementCache::Key key{user, 7, text, 1, kNoParams};
   for (uint64_t fp = 0; fp < 4 * StatementCache::kMaxVariants; ++fp) {
     cache.InsertVerdict(key, fp, 1, Accepted(true));
     cache.InsertTrumanPlan(key, fp, TrivialPlan());

@@ -182,5 +182,23 @@ TEST(DatabaseStateTest, CloneIsDeep) {
   EXPECT_EQ(state.TotalRows(), 1u);
 }
 
+TEST(DatabaseStateTest, LayerShadowsItsOwnTablesAndReadsThroughTheRest) {
+  DatabaseState base;
+  ASSERT_TRUE(base.CreateTable("t", 2).ok());
+  ASSERT_TRUE(base.CreateTable("u", 2).ok());
+  base.GetMutableTable("t")->Insert(R(1, "a"));
+  const uint64_t base_version = base.DataVersion();
+  DatabaseState layer(&base);
+  ASSERT_TRUE(layer.CreateTable("t", 2).ok());
+  layer.GetMutableTable("t")->ReplaceAllRows({R(2, "b"), R(3, "c")});
+  EXPECT_EQ(layer.GetTable("t")->num_rows(), 2u);
+  EXPECT_EQ(layer.GetTable("u"), base.GetTable("u"));
+  EXPECT_TRUE(layer.HasTable("u"));
+  // The layer never writes its base.
+  EXPECT_EQ(layer.GetMutableTable("u"), nullptr);
+  EXPECT_EQ(base.GetTable("t")->num_rows(), 1u);
+  EXPECT_EQ(base.DataVersion(), base_version);
+}
+
 }  // namespace
 }  // namespace fgac::storage

@@ -121,6 +121,33 @@ TEST_F(SystemTablesTest, NonTrumanSelfScopedAuditQueryIsValid) {
   EXPECT_EQ(peek.status().code(), StatusCode::kNotAuthorized);
 }
 
+TEST_F(SystemTablesTest, SystemTableReadsCacheOnlyUnconditionalAcceptances) {
+  // A statement reading an fgac_ table reads a private snapshot that the
+  // data version does not cover, so only its unconditional acceptances are
+  // cached.
+  RunMixedWorkload();
+  SessionContext ctx = Student("12", EnforcementMode::kNonTruman);
+  const std::string own =
+      "select user_name, statement from fgac_audit where user_name = '12'";
+  auto first = db_.Execute(own, ctx);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value().validity.unconditional);
+  EXPECT_FALSE(first.value().validity_from_cache);
+  auto second = db_.Execute(own, ctx);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(second.value().validity_from_cache);
+  // A rejection is checked again every time.
+  common::Counter& misses = db_.metrics().counter("validity.cache_misses");
+  for (int i = 0; i < 2; ++i) {
+    const uint64_t before = misses.value();
+    auto peek =
+        db_.Execute("select * from fgac_audit where user_name = '11'", ctx);
+    ASSERT_FALSE(peek.ok());
+    EXPECT_EQ(peek.status().code(), StatusCode::kNotAuthorized);
+    EXPECT_EQ(misses.value(), before + 1);
+  }
+}
+
 TEST_F(SystemTablesTest, AdminAndAuditorSeeAllRows) {
   RunMixedWorkload();
   storage::Relation all =
@@ -329,8 +356,8 @@ TEST_F(SystemTablesTest, ProfiledStatementsCarryTraceAndStats) {
 }
 
 TEST_F(SystemTablesTest, AuditTableSeesEventsFromTheSameSessionPromptly) {
-  // The row materialized for a SELECT over fgac_audit must already include
-  // the statement executed IMMEDIATELY before it (the refresh path flushes
+  // The snapshot a SELECT over fgac_audit reads must already include the
+  // statement executed IMMEDIATELY before it (taking the snapshot flushes
   // the ring synchronously — no waiting for the background cadence).
   SessionContext ctx = Student("11", EnforcementMode::kNonTruman);
   ASSERT_TRUE(

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
+
 #include "core/database.h"
 #include "server/connection_manager.h"
 #include "tests/test_util.h"
@@ -192,6 +197,23 @@ TEST_F(DatabaseCacheTest, AdHocVerdictServesPreparedStatementOfSameText) {
   cm.CloseAll();
 }
 
+TEST_F(DatabaseCacheTest, SystemTableReadKeepsConditionalVerdicts) {
+  // Reading the fgac_ tables writes no shared storage, so an observer
+  // moves no data version and evicts no one's conditional (C3) verdict.
+  const std::string q = "select * from grades where course-id = 'cs101'";
+  auto r1 = db_.Execute(q, Student());
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  ASSERT_FALSE(r1.value().validity.unconditional);
+  const uint64_t version = db_.data_version();
+  fgac::testing::MustQueryAdmin(&db_,
+                                "select count(*) from fgac_statement_cache");
+  fgac::testing::MustQueryAdmin(&db_, "select * from fgac_audit");
+  EXPECT_EQ(db_.data_version(), version);
+  auto r2 = db_.Execute(q, Student());
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_TRUE(r2.value().validity_from_cache);
+}
+
 TEST_F(DatabaseCacheTest, AdHocVerdictHitCountsAsSessionCacheHit) {
   const std::string q = "select grade from grades where student-id = '11'";
   server::ConnectionManager cm(db_);
@@ -204,6 +226,117 @@ TEST_F(DatabaseCacheTest, AdHocVerdictHitCountsAsSessionCacheHit) {
       &db_, "select cache_hits from fgac_sessions where user_name = '11'");
   ASSERT_EQ(rel.num_rows(), 1u);
   EXPECT_EQ(rel.rows()[0][0], Value::Int(1));
+  cm.CloseAll();
+}
+
+// Two session parameterizations whose fingerprints collide must not share
+// a cached verdict or Truman plan: the cache compares the parameters
+// themselves. View va exposes the row whose `a` is the session's $a.
+class SessionParamCollisionTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kA1 = (int64_t{1} << 60) + 1;
+  static constexpr int64_t kB1 = (int64_t{1} << 59) + 5;
+  static constexpr int64_t kA2 = (int64_t{1} << 60) + 3;
+  static constexpr uint64_t kBasis = 1469598103934665603ULL;
+  static constexpr uint64_t kPrime = 1099511628211ULL;
+
+  void SetUp() override {
+    const std::string script =
+        "create table t (a bigint, secret varchar);"
+        "insert into t values (" +
+        std::to_string(kA1) + ", 'p1'), (" + std::to_string(kA2) +
+        ", 'p2');"
+        "create authorization view va as select * from t where a = $a;"
+        "grant select on va to u";
+    ASSERT_TRUE(db_.ExecuteScript(script).ok());
+  }
+
+  /// The engine's FNV fold of one parameter into the fingerprint of the
+  /// sorted parameter map.
+  static uint64_t Fold(uint64_t fp, const std::string& name,
+                       const Value& v) {
+    fp = fp * kPrime ^ std::hash<std::string>()(name);
+    return fp * kPrime ^ v.Hash();
+  }
+
+  using Params = core::SessionParams;
+
+  /// P1 = {a: kA1, b: kB1}; P2 = {a: kA2, b: y} with y solved so that both
+  /// maps fingerprint alike. An int that a double cannot hold exactly
+  /// hashes as itself, so y is the hash it needs. A session's $user-id
+  /// parameters sort after "b" and are the same in both.
+  static std::pair<Params, Params> CollidingParams() {
+    const uint64_t want =
+        Fold(Fold(kBasis, "a", Value::Int(kA1)), "b", Value::Int(kB1));
+    const uint64_t prefix = Fold(kBasis, "a", Value::Int(kA2));
+    const uint64_t y =
+        want ^ ((prefix * kPrime ^ std::hash<std::string>()("b")) * kPrime);
+    const Value b2 = Value::Int(static_cast<int64_t>(y));
+    EXPECT_EQ(b2.Hash(), y) << "y is not hashed as itself";
+    return {{{"a", Value::Int(kA1)}, {"b", Value::Int(kB1)}},
+            {{"a", Value::Int(kA2)}, {"b", b2}}};
+  }
+
+  static void Apply(const Params& params, SessionContext* ctx) {
+    for (const auto& [name, value] : params) ctx->SetParam(name, value);
+  }
+
+  static SessionContext User(const Params& params, EnforcementMode mode) {
+    SessionContext ctx("u");
+    ctx.set_mode(mode);
+    Apply(params, &ctx);
+    return ctx;
+  }
+
+  Database db_;
+};
+
+TEST_F(SessionParamCollisionTest, NonTrumanVerdictIsNotSharedAcrossParams) {
+  auto [params1, params2] = CollidingParams();
+  SessionContext p1 = User(params1, EnforcementMode::kNonTruman);
+  SessionContext p2 = User(params2, EnforcementMode::kNonTruman);
+  const std::string q =
+      "select secret from t where a = " + std::to_string(kA1);
+  auto own = db_.Execute(q, p1);
+  ASSERT_TRUE(own.ok()) << own.status().ToString();
+  ASSERT_EQ(own.value().relation.num_rows(), 1u);
+  // Under P2 the row with a = kA1 is hidden: the checker rejects the
+  // query, and so must the cached path.
+  auto check = db_.CheckQueryValidity(q, p2);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  ASSERT_FALSE(check.value().valid);
+  auto peek = db_.Execute(q, p2);
+  ASSERT_FALSE(peek.ok()) << "hidden row served from P1's cached verdict";
+  EXPECT_EQ(peek.status().code(), StatusCode::kNotAuthorized);
+  // The fingerprints did collide: the slot held P1's verdict.
+  EXPECT_GE(db_.statement_cache().collisions(), 1u);
+}
+
+TEST_F(SessionParamCollisionTest, TrumanPlanIsNotSharedAcrossParams) {
+  ASSERT_TRUE(db_.catalog().SetTrumanView("t", "va").ok());
+  auto [params1, params2] = CollidingParams();
+  server::ConnectionManager cm(db_);
+  auto s = cm.Open("u", EnforcementMode::kTruman);
+  Apply(params1, &s->context());
+  ASSERT_TRUE(s->Execute("prepare q as select secret from t").ok());
+  auto first = s->Execute("execute q");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first.value().relation.num_rows(), 1u);
+  EXPECT_EQ(first.value().relation.rows()[0][0], Value::String("p1"));
+  Apply(params2, &s->context());
+  auto second = s->Execute("execute q");
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_FALSE(second.value().truman_plan_from_cache);
+  ASSERT_EQ(second.value().relation.num_rows(), 1u);
+  EXPECT_EQ(second.value().relation.rows()[0][0], Value::String("p2"))
+      << "P1's row served from the cached Truman plan";
+  // The ad-hoc path agrees.
+  auto adhoc = db_.Execute("select secret from t",
+                           User(params2, EnforcementMode::kTruman));
+  ASSERT_TRUE(adhoc.ok()) << adhoc.status().ToString();
+  ASSERT_EQ(adhoc.value().relation.num_rows(), 1u);
+  EXPECT_EQ(adhoc.value().relation.rows()[0][0], Value::String("p2"));
+  EXPECT_GE(db_.statement_cache().collisions(), 1u);
   cm.CloseAll();
 }
 
