@@ -289,15 +289,6 @@ std::vector<ScalarPtr> NormalizePredicates(std::vector<ScalarPtr> preds) {
   return out;
 }
 
-ScalarPtr ConjoinPredicates(const std::vector<ScalarPtr>& preds) {
-  if (preds.empty()) return MakeLiteralScalar(Value::Bool(true));
-  ScalarPtr out = preds[0];
-  for (size_t i = 1; i < preds.size(); ++i) {
-    out = MakeBinaryScalar(sql::BinOp::kAnd, std::move(out), preds[i]);
-  }
-  return out;
-}
-
 namespace {
 
 bool IsIdentityProject(const Plan& plan) {

@@ -25,9 +25,6 @@ std::vector<ScalarPtr> SplitConjuncts(const ScalarPtr& s);
 /// ANDs, sorts, dedups. TRUE literals are dropped.
 std::vector<ScalarPtr> NormalizePredicates(std::vector<ScalarPtr> preds);
 
-/// Rebuilds a single predicate from conjuncts (TRUE literal when empty).
-ScalarPtr ConjoinPredicates(const std::vector<ScalarPtr>& preds);
-
 /// Normalizes a plan tree bottom-up:
 ///  * all embedded scalars normalized, predicate lists canonicalized,
 ///  * Select-over-Select merged, empty Select dropped,

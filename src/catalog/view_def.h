@@ -24,7 +24,6 @@ struct ViewDefinition {
   /// Distinct `$$` parameter names appearing in the definition.
   std::vector<std::string> access_parameters;
 
-  bool is_parameterized() const { return !parameters.empty(); }
   bool is_access_pattern() const { return !access_parameters.empty(); }
 };
 

@@ -7,16 +7,6 @@
 
 namespace fgac::common {
 
-const char* DegradePolicyName(DegradePolicy policy) {
-  switch (policy) {
-    case DegradePolicy::kReject:
-      return "Reject";
-    case DegradePolicy::kTruman:
-      return "Truman";
-  }
-  return "Unknown";
-}
-
 QueryGuard::QueryGuard(const QueryLimits& limits, const QueryGuard* parent)
     : limits_(limits),
       parent_(parent),

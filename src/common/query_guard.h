@@ -24,8 +24,6 @@ enum class DegradePolicy {
   kTruman,
 };
 
-const char* DegradePolicyName(DegradePolicy policy);
-
 /// Per-query resource limits. Zero means "unlimited" for every field, so
 /// a default-constructed QueryLimits imposes nothing.
 struct QueryLimits {

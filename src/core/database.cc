@@ -19,7 +19,6 @@
 #include "exec/executor.h"
 #include "exec/parallel.h"
 #include "exec/scheduler.h"
-#include "optimizer/optimizer.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 
@@ -134,7 +133,101 @@ class ActivityScope {
   std::shared_ptr<common::StatementActivity> activity_;
 };
 
+/// The scheduler identity of a statement's DAGs, execution and validity
+/// probes alike: the session keys the shared pool's weighted round-robin,
+/// and progress lands on the statement's activity record.
+exec::DagOptions DagOptionsFor(const SessionContext& ctx) {
+  exec::DagOptions opts;
+  opts.session_key = std::hash<std::string>{}(ctx.session_id());
+  opts.weight = ctx.scheduler_weight();
+  if (g_current_activity != nullptr) {
+    opts.progress = &g_current_activity->progress();
+  }
+  return opts;
+}
+
+/// Rows a statement returned or changed, for its audit event.
+int64_t RowsOut(const ExecResult& r) {
+  return static_cast<int64_t>(r.relation.num_rows()) + r.affected_rows;
+}
+int64_t RowsOut(const std::shared_ptr<PreparedStatement>&) { return 0; }
+
+/// The EXPLAIN line for a validity verdict.
+std::string VerdictLine(const ValidityReport& v) {
+  if (!v.valid) return "validity: REJECTED (" + v.reason + ")\n";
+  return std::string("validity: ") +
+         (v.unconditional ? "unconditionally" : "conditionally") +
+         " valid via " + v.justification +
+         (v.probe_budget_exhausted ? " [probe budget exhausted]" : "") + "\n";
+}
+
+/// Appends the EXPLAIN ANALYZE report for a completed run: cache provenance
+/// (which enforcement work the statement cache skipped), the validity
+/// verdict / rejection / degradation, row count, per-operator stats and the
+/// validity trace.
+void AppendAnalyzeReport(std::string* text, const SessionContext& ctx,
+                         const Result<ExecResult>& run,
+                         const QueryProfile& profile) {
+  if (run.ok()) {
+    const ExecResult& res = run.value();
+    if (ctx.mode() == EnforcementMode::kTruman) {
+      *text += std::string("truman rewrite: ") +
+               (res.truman_plan_from_cache ? "statement-cache hit"
+                                           : "rewritten this call") +
+               "\n";
+    } else if (ctx.mode() == EnforcementMode::kNonTruman) {
+      if (res.degraded_to_truman) {
+        *text += "validity: DEGRADED (" + res.validity.reason + ")\n";
+      } else {
+        *text += std::string("verdict source: ") +
+                 (res.validity_from_cache ? "statement-cache hit"
+                                          : "validity checker") +
+                 "\n" + VerdictLine(res.validity);
+      }
+    }
+    *text += "result: " + std::to_string(res.relation.num_rows()) +
+             " row(s)\n";
+  } else {
+    *text += "validity: REJECTED (" + std::string(run.status().message()) +
+             ")\n";
+  }
+  if (profile.stats != nullptr && profile.stats->executed_plan() != nullptr) {
+    *text += profile.stats->Render();
+  }
+  if (profile.trace != nullptr && !profile.trace->events().empty()) {
+    *text += "validity trace:\n" + profile.trace->ToText();
+  }
+}
+
+/// Splits rendered EXPLAIN text into the single-column result shape.
+ExecResult ExplainTextResult(const std::string& text) {
+  ExecResult out;
+  out.relation = storage::Relation({"explain"});
+  std::string line;
+  for (char c : text) {
+    if (c == '\n') {
+      out.relation.AddRow({Value::String(line)});
+      line.clear();
+    } else {
+      line += c;
+    }
+  }
+  if (!line.empty()) out.relation.AddRow({Value::String(line)});
+  return out;
+}
+
 }  // namespace
+
+template <typename Body>
+auto Database::Audited(const SessionContext& ctx, std::string text,
+                       Body body) {
+  auto t0 = std::chrono::steady_clock::now();
+  common::AuditEvent ev = StartAudit(ctx, std::move(text));
+  ActivityScope activity_scope(activity_, ctx, ev.statement);
+  auto r = body(&ev);
+  FinishAudit(&ev, r.status(), r.ok() ? RowsOut(r.value()) : 0, t0);
+  return r;
+}
 
 Database::Database() : Database(DefaultOptions()) {}
 
@@ -214,19 +307,9 @@ Result<ExecResult> Database::Execute(std::string_view sql,
 Result<ExecResult> Database::Execute(const sql::Stmt& stmt,
                                      std::string_view sql,
                                      const SessionContext& ctx) {
-  auto t0 = std::chrono::steady_clock::now();
-  common::AuditEvent ev = StartAudit(ctx, std::string(sql));
-  ActivityScope activity_scope(activity_, ctx, ev.statement);
-  Result<ExecResult> r = ExecuteStmt(stmt, ctx, &ev);
-  if (r.ok()) {
-    FinishAudit(&ev, Status::OK(),
-                static_cast<int64_t>(r.value().relation.num_rows()) +
-                    r.value().affected_rows,
-                t0);
-  } else {
-    FinishAudit(&ev, r.status(), 0, t0);
-  }
-  return r;
+  return Audited(ctx, std::string(sql), [&](common::AuditEvent* ev) {
+    return ExecuteStmt(stmt, ctx, ev);
+  });
 }
 
 Result<ExecResult> Database::ExecuteAsAdmin(std::string_view sql) {
@@ -240,18 +323,11 @@ Status Database::ExecuteScript(std::string_view sql) {
   for (const sql::StmtPtr& stmt : stmts) {
     // Each script statement is audited individually (the statement text is
     // re-rendered from the AST — the script's raw slicing is not kept).
-    auto t0 = std::chrono::steady_clock::now();
-    common::AuditEvent ev = StartAudit(admin, sql::StmtToSql(*stmt));
-    ActivityScope activity_scope(activity_, admin, ev.statement);
-    Result<ExecResult> r = ExecuteStmt(*stmt, admin, &ev);
-    if (!r.ok()) {
-      FinishAudit(&ev, r.status(), 0, t0);
-      return r.status();
-    }
-    FinishAudit(&ev, Status::OK(),
-                static_cast<int64_t>(r.value().relation.num_rows()) +
-                    r.value().affected_rows,
-                t0);
+    FGAC_RETURN_NOT_OK(Audited(admin, sql::StmtToSql(*stmt),
+                               [&](common::AuditEvent* ev) {
+                                 return ExecuteStmt(*stmt, admin, ev);
+                               })
+                           .status());
   }
   return Status::OK();
 }
@@ -326,8 +402,8 @@ Result<ExecResult> Database::ExecuteStmt(const sql::Stmt& stmt,
       return out;
     }
     case sql::StmtKind::kExplain:
-      return ExecuteExplain(static_cast<const sql::ExplainStmt&>(stmt), ctx,
-                            audit);
+      return Explain(static_cast<const sql::ExplainStmt&>(stmt),
+                     /*prep=*/nullptr, ctx, audit);
     case sql::StmtKind::kAuthorize:
       return ApplyAuthorize(static_cast<const sql::AuthorizeStmt&>(stmt));
     case sql::StmtKind::kDrop:
@@ -363,24 +439,19 @@ Result<Relation> Database::RunPlan(const PlanPtr& plan,
   FGAC_RETURN_NOT_OK(common::GuardCheck(guard));
   size_t threads = ctx.exec_parallelism() != 0 ? ctx.exec_parallelism()
                                                : options_.parallelism;
-  // Session identity keys the scheduler's weighted round-robin: every DAG
-  // this query fans out shares the session's fair-dispatch bucket.
-  exec::DagOptions dag_opts;
-  dag_opts.session_key = std::hash<std::string>{}(ctx.session_id());
-  dag_opts.weight = ctx.scheduler_weight();
-  if (g_current_activity != nullptr) {
-    dag_opts.progress = &g_current_activity->progress();
-  }
+  FGAC_ASSIGN_OR_RETURN(optimizer::OptimizeResult best, Optimize(plan, state));
+  if (stats != nullptr) stats->SetExecutedPlan(best.plan);
+  return exec::ParallelExecutePlan(best.plan, state, threads, guard, stats,
+                                   trace, DagOptionsFor(ctx));
+}
+
+Result<optimizer::OptimizeResult> Database::Optimize(
+    const PlanPtr& plan, const storage::DatabaseState& state) const {
   auto row_count = [&state](const std::string& table) -> double {
     const storage::TableData* t = state.GetTable(table);
     return t == nullptr ? 1000.0 : static_cast<double>(t->num_rows());
   };
-  FGAC_ASSIGN_OR_RETURN(
-      optimizer::OptimizeResult best,
-      optimizer::Optimize(plan, options_.exec_expand, row_count));
-  if (stats != nullptr) stats->SetExecutedPlan(best.plan);
-  return exec::ParallelExecutePlan(best.plan, state, threads, guard, stats,
-                                   trace, dag_opts);
+  return optimizer::Optimize(plan, options_.exec_expand, row_count);
 }
 
 void Database::RefreshExportGauges() {
@@ -564,22 +635,8 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
     if (audit != nullptr) audit->trace_id = root_ctx.trace_id;
   }
 
-  // One guard spans validity checking and execution: database-default
-  // limits, optionally overridden per session, observing the session's
-  // cancel token when one is attached, charging materialized state into
-  // the process-wide memory account.
-  common::QueryLimits limits =
-      ctx.query_limits().has_value() ? *ctx.query_limits() : options_.limits;
-  if (act != nullptr && limits.has_timeout()) {
-    act->set_deadline_us(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(limits.timeout)
-            .count()));
-  }
-  common::QueryGuard guard(limits);
-  if (ctx.cancel_token() != nullptr) {
-    guard.AttachExternalCancel(ctx.cancel_token());
-  }
-  guard.set_memory_tracker(&tracker_);
+  // One guard spans validity checking and execution.
+  common::QueryGuard guard(ctx.query_limits().value_or(options_.limits));
 
   // On EVERY exit path — rejection, timeout, degradation, success — the
   // final guard charges land on the activity record (the audit event
@@ -607,22 +664,7 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
   // Admission control happens BEFORE any heavy work. The ticket's scope
   // spans validity checking and execution.
   exec::AdmissionTicket admission_ticket;
-  {
-    exec::AdmissionRequest req;
-    if (limits.has_timeout()) req.deadline = Clock::now() + limits.timeout;
-    req.guard = &guard;
-    auto admit_t0 = Clock::now();
-    Status admitted = admission_->Admit(req, &admission_ticket);
-    if (act != nullptr) {
-      act->set_admission_wait_us(elapsed_ns(admit_t0) / 1000);
-    }
-    if (!admitted.ok()) {
-      if (admitted.code() == StatusCode::kOverloaded) {
-        metrics_.counter("queries.shed").Increment();
-      }
-      return admitted;
-    }
-  }
+  FGAC_RETURN_NOT_OK(ArmGuard(ctx, &guard, &admission_ticket));
 
   // The statement's one state, read by the validity probes and the
   // execution alike: fgac_ tables are private snapshots over the live
@@ -643,34 +685,9 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
       break;
     case EnforcementMode::kTruman: {
       if (act != nullptr) act->set_phase(common::StatementPhase::kRewrite);
-      if (prep != nullptr && prep->parameterized != nullptr) {
-        // Prepared fast path: the rewrite replaces base tables with
-        // session-instantiated policy views and is independent of the
-        // EXECUTE arguments, so the PARAMETERIZED rewritten plan is cached
-        // per (principal, statement, session params) and only the cheap
-        // placeholder substitution runs per call.
-        StatementCache::Key key{ctx.user(), prep->stmt_fp, *prep->text,
-                                policy_epoch(), ctx.shared_params()};
-        PlanPtr rewritten = stmt_cache_.LookupTrumanPlan(key, prep->params_fp);
-        out.truman_plan_from_cache = rewritten != nullptr;
-        if (out.truman_plan_from_cache && act != nullptr) act->NoteCacheHit();
-        if (rewritten == nullptr) {
-          common::ScopedSpan rewrite_span(tctx, "truman.rewrite");
-          FGAC_ASSIGN_OR_RETURN(
-              PlanPtr raw, TrumanRewrite(*prep->parameterized, catalog_, ctx));
-          rewritten = algebra::NormalizePlan(raw);
-          stmt_cache_.InsertTrumanPlan(key, prep->params_fp, rewritten);
-        }
-        to_run = prep->bindings->empty()
-                     ? rewritten
-                     : algebra::NormalizePlan(
-                           algebra::BindPlanParams(rewritten, *prep->bindings));
-      } else {
-        common::ScopedSpan rewrite_span(tctx, "truman.rewrite");
-        FGAC_ASSIGN_OR_RETURN(PlanPtr rewritten,
-                              TrumanRewrite(plan, catalog_, ctx));
-        to_run = algebra::NormalizePlan(rewritten);
-      }
+      FGAC_ASSIGN_OR_RETURN(to_run, TrumanPlan(plan, ctx, prep, tctx,
+                                               &out.truman_plan_from_cache));
+      if (out.truman_plan_from_cache && act != nullptr) act->NoteCacheHit();
       if (audit != nullptr) audit->verdict = "truman";
       break;
     }
@@ -710,23 +727,8 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
           e.kind = ValidityTraceEvent::Kind::kCacheMiss;
           trace->Add(std::move(e));
         }
-        FGAC_ASSIGN_OR_RETURN(std::vector<InstantiatedView> views,
-                              InstantiateAvailableViews(catalog_, ctx));
-        ValidityChecker checker(catalog_, &state, ResolvedValidityOptions());
-        checker.set_guard(&guard);
-        checker.set_trace(trace);
-        checker.set_dag_options(exec::DagOptions{
-            std::hash<std::string>{}(ctx.session_id()),
-            ctx.scheduler_weight(),
-            act != nullptr ? &act->progress() : nullptr});
-        Result<ValidityReport> verdict = [&] {
-          // The span covers exactly the inference work; rule firings and
-          // probe batches nest under it.
-          common::ScopedSpan validity_span(tctx, "validity.check");
-          common::TraceContext validity_ctx = validity_span.ChildContext();
-          if (tctx != nullptr) checker.set_span_context(&validity_ctx);
-          return checker.Check(plan, views);
-        }();
+        Result<ValidityReport> verdict =
+            CheckValidity(plan, ctx, state, &guard, trace, tctx);
         if (!verdict.ok()) {
           // A check that failed or blew its budget still spent this time.
           if (act != nullptr) {
@@ -738,19 +740,20 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
           bool budget_blown = code == StatusCode::kTimeout ||
                               code == StatusCode::kResourceExhausted;
           note_guard_trip(verdict.status());
-          if (budget_blown &&
-              limits.degrade_policy == common::DegradePolicy::kTruman) {
+          if (budget_blown && guard.limits().degrade_policy ==
+                                  common::DegradePolicy::kTruman) {
             // Principled degradation (paper Section 3 vs 4): the validity
             // test could not finish within budget, so fall back to the
             // Truman rewriter — answer against the user's policy views and
             // flag the result as filtered. Sound (never reveals more than
             // the views), though possibly misleading; never cached as a
-            // verdict.
+            // verdict. The rewrite's span carries the reason, so it opens
+            // here and the rewrite runs uncached under it.
             common::ScopedSpan rewrite_span(tctx, "truman.rewrite");
             rewrite_span.set_detail("degraded: " + verdict.status().message());
-            FGAC_ASSIGN_OR_RETURN(PlanPtr rewritten,
-                                  TrumanRewrite(plan, catalog_, ctx));
-            to_run = algebra::NormalizePlan(rewritten);
+            FGAC_ASSIGN_OR_RETURN(
+                to_run, TrumanPlan(plan, ctx, /*prep=*/nullptr,
+                                   /*tctx=*/nullptr, /*from_cache=*/nullptr));
             out.degraded_to_truman = true;
             out.validity = ValidityReport{};
             out.validity.reason =
@@ -846,12 +849,91 @@ Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
   return out;
 }
 
+Status Database::ArmGuard(const SessionContext& ctx, common::QueryGuard* guard,
+                          exec::AdmissionTicket* ticket) {
+  guard->AttachExternalCancel(ctx.cancel_token());
+  guard->set_memory_tracker(&tracker_);
+  const common::QueryLimits& limits = guard->limits();
+  common::StatementActivity* act = g_current_activity;
+  if (act != nullptr && limits.has_timeout()) {
+    act->set_deadline_us(static_cast<uint64_t>(limits.timeout.count()));
+  }
+  if (ticket == nullptr) return Status::OK();
+  exec::AdmissionRequest req;
+  auto t0 = std::chrono::steady_clock::now();
+  if (limits.has_timeout()) req.deadline = t0 + limits.timeout;
+  req.guard = guard;
+  Status admitted = admission_->Admit(req, ticket);
+  if (act != nullptr) {
+    act->set_admission_wait_us(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
+  }
+  if (admitted.code() == StatusCode::kOverloaded) {
+    metrics_.counter("queries.shed").Increment();
+  }
+  return admitted;
+}
+
+Result<PlanPtr> Database::TrumanPlan(const PlanPtr& plan,
+                                     const SessionContext& ctx,
+                                     const PreparedRun* prep,
+                                     const common::TraceContext* tctx,
+                                     bool* from_cache) {
+  auto rewrite = [&](const PlanPtr& subject) -> Result<PlanPtr> {
+    common::ScopedSpan rewrite_span(tctx, "truman.rewrite");
+    FGAC_ASSIGN_OR_RETURN(PlanPtr raw, TrumanRewrite(subject, catalog_, ctx));
+    return algebra::NormalizePlan(raw);
+  };
+  if (prep == nullptr || prep->parameterized == nullptr) return rewrite(plan);
+  // Prepared fast path: the rewrite replaces base tables with
+  // session-instantiated policy views and is independent of the EXECUTE
+  // arguments, so the PARAMETERIZED rewritten plan is cached per
+  // (principal, statement, session params) and only the cheap placeholder
+  // substitution runs per call.
+  const StatementCache::Key key{ctx.user(), prep->stmt_fp, *prep->text,
+                                policy_epoch(), ctx.shared_params()};
+  PlanPtr rewritten = stmt_cache_.LookupTrumanPlan(key, prep->params_fp);
+  *from_cache = rewritten != nullptr;
+  if (rewritten == nullptr) {
+    FGAC_ASSIGN_OR_RETURN(rewritten, rewrite(*prep->parameterized));
+    stmt_cache_.InsertTrumanPlan(key, prep->params_fp, rewritten);
+  }
+  if (prep->bindings->empty()) return rewritten;
+  return algebra::NormalizePlan(
+      algebra::BindPlanParams(rewritten, *prep->bindings));
+}
+
+Result<ValidityReport> Database::CheckValidity(
+    const PlanPtr& plan, const SessionContext& ctx,
+    const storage::DatabaseState& state, const common::QueryGuard* guard,
+    ValidityTrace* trace, const common::TraceContext* tctx, PlanPtr* witness) {
+  FGAC_ASSIGN_OR_RETURN(std::vector<InstantiatedView> views,
+                        InstantiateAvailableViews(catalog_, ctx));
+  ValidityChecker checker(catalog_, &state, ResolvedValidityOptions());
+  checker.set_guard(guard);
+  checker.set_trace(trace);
+  checker.set_dag_options(DagOptionsFor(ctx));
+  // The span covers exactly the inference work; rule firings and probe
+  // batches nest under it.
+  Result<ValidityReport> report = [&] {
+    common::ScopedSpan validity_span(tctx, "validity.check");
+    common::TraceContext validity_ctx = validity_span.ChildContext();
+    if (tctx != nullptr) checker.set_span_context(&validity_ctx);
+    return checker.Check(plan, views);
+  }();
+  if (witness != nullptr && report.ok() && report.value().valid) {
+    Result<PlanPtr> q = checker.ExtractWitness();
+    if (q.ok()) *witness = std::move(q).value();
+  }
+  return report;
+}
+
 Result<std::shared_ptr<PreparedStatement>> Database::Prepare(
     const sql::PrepareStmt& stmt, const SessionContext& ctx) {
-  auto t0 = std::chrono::steady_clock::now();
-  common::AuditEvent ev = StartAudit(ctx, sql::StmtToSql(stmt));
-  ActivityScope activity_scope(activity_, ctx, ev.statement);
-  auto run = [&]() -> Result<std::shared_ptr<PreparedStatement>> {
+  return Audited(ctx, sql::StmtToSql(stmt), [&](common::AuditEvent*)
+                     -> Result<std::shared_ptr<PreparedStatement>> {
     auto prep = std::make_shared<PreparedStatement>();
     prep->name = stmt.name;
     prep->select = stmt.select;
@@ -893,10 +975,7 @@ Result<std::shared_ptr<PreparedStatement>> Database::Prepare(
     prep->session_params = ctx.shared_params();
     metrics_.counter("prepared.prepares").Increment();
     return prep;
-  };
-  Result<std::shared_ptr<PreparedStatement>> r = run();
-  FinishAudit(&ev, r.ok() ? Status::OK() : r.status(), 0, t0);
-  return r;
+  });
 }
 
 Result<ExecResult> Database::ExecutePrepared(
@@ -905,7 +984,6 @@ Result<ExecResult> Database::ExecutePrepared(
   if (prep == nullptr) {
     return Status::InvalidArgument("null prepared statement");
   }
-  auto t0 = std::chrono::steady_clock::now();
   std::string text = "EXECUTE " + prep->name;
   if (!args.empty()) {
     text += " (";
@@ -915,21 +993,16 @@ Result<ExecResult> Database::ExecutePrepared(
     }
     text += ")";
   }
-  common::AuditEvent ev = StartAudit(ctx, text);
-  ActivityScope activity_scope(activity_, ctx, text);
-  Result<ExecResult> r = ExecutePreparedImpl(*prep, args, ctx, nullptr, &ev);
-  uint64_t us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  metrics_.histogram("prepared.execute_us").Record(us);
-  if (r.ok()) {
-    FinishAudit(&ev, Status::OK(),
-                static_cast<int64_t>(r.value().relation.num_rows()), t0);
-  } else {
-    FinishAudit(&ev, r.status(), 0, t0);
-  }
-  return r;
+  return Audited(ctx, std::move(text), [&](common::AuditEvent* ev) {
+    auto t0 = std::chrono::steady_clock::now();
+    Result<ExecResult> r = ExecutePreparedImpl(*prep, args, ctx, nullptr, ev);
+    metrics_.histogram("prepared.execute_us")
+        .Record(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()));
+    return r;
+  });
 }
 
 Result<ExecResult> Database::ExecutePreparedImpl(
@@ -1010,57 +1083,6 @@ void Database::AuditSessionStatement(const SessionContext& ctx,
   FinishAudit(&ev, st, 0, t0);
 }
 
-void Database::AppendAnalyzeReport(std::string* text,
-                                   const SessionContext& ctx,
-                                   const Result<ExecResult>& run,
-                                   const QueryProfile& profile) const {
-  if (run.ok()) {
-    const ExecResult& res = run.value();
-    if (ctx.mode() == EnforcementMode::kNonTruman) {
-      if (res.degraded_to_truman) {
-        *text += "validity: DEGRADED (" + res.validity.reason + ")\n";
-      } else {
-        *text += std::string("validity: ") +
-                 (res.validity.unconditional ? "unconditionally"
-                                             : "conditionally") +
-                 " valid via " + res.validity.justification +
-                 (res.validity_from_cache ? " [cached verdict]" : "") +
-                 (res.validity.probe_budget_exhausted
-                      ? " [probe budget exhausted]"
-                      : "") +
-                 "\n";
-      }
-    }
-    *text += "result: " + std::to_string(res.relation.num_rows()) +
-             " row(s)\n";
-  } else {
-    *text += "validity: REJECTED (" + std::string(run.status().message()) +
-             ")\n";
-  }
-  if (profile.stats != nullptr && profile.stats->executed_plan() != nullptr) {
-    *text += profile.stats->Render();
-  }
-  if (profile.trace != nullptr && !profile.trace->events().empty()) {
-    *text += "validity trace:\n" + profile.trace->ToText();
-  }
-}
-
-ExecResult Database::ExplainTextResult(const std::string& text) {
-  ExecResult out;
-  out.relation = storage::Relation({"explain"});
-  std::string line;
-  for (char c : text) {
-    if (c == '\n') {
-      out.relation.AddRow({Value::String(line)});
-      line.clear();
-    } else {
-      line += c;
-    }
-  }
-  if (!line.empty()) out.relation.AddRow({Value::String(line)});
-  return out;
-}
-
 Result<ExecResult> Database::ExplainPrepared(
     const sql::ExplainStmt& stmt,
     const std::shared_ptr<PreparedStatement>& prep,
@@ -1072,121 +1094,83 @@ Result<ExecResult> Database::ExplainPrepared(
     return Status::InvalidArgument("unknown prepared statement '" +
                                    stmt.execute->name + "'");
   }
-  auto t0 = std::chrono::steady_clock::now();
-  common::AuditEvent ev = StartAudit(ctx, sql::StmtToSql(stmt));
-  ActivityScope activity_scope(activity_, ctx, ev.statement);
-  auto run_all = [&]() -> Result<ExecResult> {
-    std::string text = "prepared statement: " + prep->name + "\n";
-    Result<ExecResult> run = ExecResult{};
-    QueryProfile profile;
-    if (stmt.analyze) {
-      // Run first so the report reflects this call's bind state (a catalog
-      // or policy change rebinds inside ExecutePreparedImpl).
-      run = ExecutePreparedImpl(*prep, stmt.execute->args, ctx, &profile, &ev);
-      if (!run.ok() && run.status().code() != StatusCode::kNotAuthorized) {
-        return run.status();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(prep->mu);
-      if (prep->plan != nullptr) {
-        text += "parameterized plan:\n" + algebra::PlanToString(prep->plan);
-      }
-    }
-    if (stmt.analyze) {
-      // Cache provenance: which enforcement work the statement cache
-      // skipped for THIS call.
-      if (run.ok()) {
-        if (ctx.mode() == EnforcementMode::kTruman) {
-          text += std::string("truman rewrite: ") +
-                  (run.value().truman_plan_from_cache
-                       ? "statement-cache hit"
-                       : "rewritten this call") +
-                  "\n";
-        } else if (ctx.mode() == EnforcementMode::kNonTruman &&
-                   !run.value().degraded_to_truman) {
-          text += std::string("verdict source: ") +
-                  (run.value().validity_from_cache ? "statement-cache hit"
-                                                   : "validity checker") +
-                  "\n";
-        }
-      }
-      AppendAnalyzeReport(&text, ctx, run, profile);
-    }
-    return ExplainTextResult(text);
-  };
-  Result<ExecResult> r = run_all();
-  if (r.ok()) {
-    FinishAudit(&ev, Status::OK(),
-                static_cast<int64_t>(r.value().relation.num_rows()), t0);
-  } else {
-    FinishAudit(&ev, r.status(), 0, t0);
-  }
-  return r;
+  return Audited(ctx, sql::StmtToSql(stmt), [&](common::AuditEvent* ev) {
+    return Explain(stmt, prep.get(), ctx, ev);
+  });
 }
 
-Result<ExecResult> Database::ExecuteExplain(const sql::ExplainStmt& stmt,
-                                            const SessionContext& ctx,
-                                            common::AuditEvent* audit) {
-  if (stmt.execute != nullptr) {
+Result<ExecResult> Database::Explain(const sql::ExplainStmt& stmt,
+                                     PreparedStatement* prep,
+                                     const SessionContext& ctx,
+                                     common::AuditEvent* audit) {
+  if (prep == nullptr && stmt.execute != nullptr) {
     // EXPLAIN EXECUTE names a prepared statement, and registries are per
     // connection — only a server session can resolve the name.
     return Status::InvalidArgument(
         "EXPLAIN EXECUTE requires a connection session "
         "(server::ConnectionManager)");
   }
-  FGAC_ASSIGN_OR_RETURN(PlanPtr plan, BindQuery(*stmt.select, ctx));
-  std::string text = "canonical plan:\n" + algebra::PlanToString(plan);
-
-  auto row_count = [this](const std::string& table) -> double {
-    const storage::TableData* t = state_.GetTable(table);
-    return t == nullptr ? 1000.0 : static_cast<double>(t->num_rows());
-  };
-  FGAC_ASSIGN_OR_RETURN(
-      optimizer::OptimizeResult best,
-      optimizer::Optimize(plan, options_.exec_expand, row_count));
-  text += "optimized plan (est. cost " + std::to_string(best.estimated_cost) +
-          ", est. rows " + std::to_string(best.estimated_rows) + "):\n" +
-          algebra::PlanToString(best.plan);
-
+  // EXPLAIN ANALYZE runs the statement first, with profiling, so the report
+  // reflects this call's bind state (a catalog or policy change rebinds a
+  // prepared statement). A rejected query is a successful EXPLAIN — the
+  // trace of WHY it was rejected is the whole point — so kNotAuthorized is
+  // rendered, not propagated; real failures still propagate. The run
+  // shares the EXPLAIN's audit event: the audit row shows the verdict /
+  // probes of the analyzed statement under the EXPLAIN text.
+  QueryProfile profile;
+  Result<ExecResult> run = ExecResult{};
   if (stmt.analyze) {
-    // EXPLAIN ANALYZE: actually run the statement with profiling and
-    // annotate. A rejected query is a successful EXPLAIN — the trace of
-    // WHY it was rejected is the whole point — so kNotAuthorized is
-    // rendered, not propagated; real failures still propagate.
-    QueryProfile profile;
-    // The inner run shares the EXPLAIN's audit event: the audit row shows
-    // the verdict/probes of the analyzed statement under the EXPLAIN text.
-    Result<ExecResult> run = ExecuteSelect(*stmt.select, ctx, &profile, audit);
+    run = prep != nullptr ? ExecutePreparedImpl(*prep, stmt.execute->args,
+                                                ctx, &profile, audit)
+                          : ExecuteSelect(*stmt.select, ctx, &profile, audit);
     if (!run.ok() && run.status().code() != StatusCode::kNotAuthorized) {
       return run.status();
     }
-    AppendAnalyzeReport(&text, ctx, run, profile);
-  } else if (ctx.mode() == EnforcementMode::kNonTruman) {
-    FGAC_ASSIGN_OR_RETURN(std::vector<InstantiatedView> views,
-                          InstantiateAvailableViews(catalog_, ctx));
+  }
+  std::string text;
+  if (prep != nullptr) {
+    text = "prepared statement: " + prep->name + "\n";
+    std::lock_guard<std::mutex> lock(prep->mu);
+    if (prep->plan != nullptr) {
+      text += "parameterized plan:\n" + algebra::PlanToString(prep->plan);
+    }
+  } else {
+    FGAC_ASSIGN_OR_RETURN(PlanPtr plan, BindQuery(*stmt.select, ctx));
+    // Costed over the statement state, as the run is: the fgac_ tables
+    // count their snapshot rows.
     FGAC_ASSIGN_OR_RETURN(storage::DatabaseState state,
                           StatementState(CollectBaseTables(plan)));
-    ValidityChecker checker(catalog_, &state, ResolvedValidityOptions());
-    FGAC_ASSIGN_OR_RETURN(ValidityReport report, checker.Check(plan, views));
-    if (report.valid) {
-      text += std::string("validity: ") +
-              (report.unconditional ? "unconditionally" : "conditionally") +
-              " valid via " + report.justification + "\n";
-      Result<PlanPtr> witness = checker.ExtractWitness();
-      if (witness.ok()) {
+    FGAC_ASSIGN_OR_RETURN(optimizer::OptimizeResult best,
+                          Optimize(plan, state));
+    text = "canonical plan:\n" + algebra::PlanToString(plan) +
+           "optimized plan (est. cost " + std::to_string(best.estimated_cost) +
+           ", est. rows " + std::to_string(best.estimated_rows) + "):\n" +
+           algebra::PlanToString(best.plan);
+    if (!stmt.analyze && ctx.mode() == EnforcementMode::kTruman) {
+      FGAC_ASSIGN_OR_RETURN(
+          PlanPtr rewritten,
+          TrumanPlan(plan, ctx, /*prep=*/nullptr, /*tctx=*/nullptr,
+                     /*from_cache=*/nullptr));
+      text += "truman-rewritten plan:\n" + algebra::PlanToString(rewritten);
+    } else if (!stmt.analyze && ctx.mode() == EnforcementMode::kNonTruman) {
+      // A fresh check, for its witness, under the session's guard and an
+      // admission ticket, as the SELECT's check runs.
+      common::QueryGuard guard(ctx.query_limits().value_or(options_.limits));
+      exec::AdmissionTicket ticket;
+      FGAC_RETURN_NOT_OK(ArmGuard(ctx, &guard, &ticket));
+      PlanPtr witness;
+      FGAC_ASSIGN_OR_RETURN(ValidityReport report,
+                            CheckValidity(plan, ctx, state, &guard,
+                                          /*trace=*/nullptr, /*tctx=*/nullptr,
+                                          &witness));
+      text += VerdictLine(report);
+      if (witness != nullptr) {
         text += "witness rewriting q' over the authorization views:\n" +
-                algebra::PlanToString(witness.value());
+                algebra::PlanToString(witness);
       }
-    } else {
-      text += "validity: REJECTED (" + report.reason + ")\n";
     }
-  } else if (ctx.mode() == EnforcementMode::kTruman) {
-    FGAC_ASSIGN_OR_RETURN(PlanPtr rewritten, TrumanRewrite(plan, catalog_, ctx));
-    text += "truman-rewritten plan:\n" +
-            algebra::PlanToString(algebra::NormalizePlan(rewritten));
   }
-
+  if (stmt.analyze) AppendAnalyzeReport(&text, ctx, run, profile);
   return ExplainTextResult(text);
 }
 
@@ -1778,12 +1762,12 @@ Result<ValidityReport> Database::CheckQueryValidity(std::string_view sql,
   FGAC_ASSIGN_OR_RETURN(std::shared_ptr<const sql::SelectStmt> stmt,
                         sql::Parser::ParseSelect(sql));
   FGAC_ASSIGN_OR_RETURN(PlanPtr plan, BindQuery(*stmt, ctx));
-  FGAC_ASSIGN_OR_RETURN(std::vector<InstantiatedView> views,
-                        InstantiateAvailableViews(catalog_, ctx));
+  common::QueryGuard guard(ctx.query_limits().value_or(options_.limits));
+  FGAC_RETURN_NOT_OK(ArmGuard(ctx, &guard, /*ticket=*/nullptr));
   FGAC_ASSIGN_OR_RETURN(storage::DatabaseState state,
                         StatementState(CollectBaseTables(plan)));
-  ValidityChecker checker(catalog_, &state, ResolvedValidityOptions());
-  return checker.Check(plan, views);
+  return CheckValidity(plan, ctx, state, &guard, /*trace=*/nullptr,
+                       /*tctx=*/nullptr);
 }
 
 Status Database::VerifyConstraints() const {

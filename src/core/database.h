@@ -25,6 +25,7 @@
 #include "core/watchdog.h"
 #include "exec/admission.h"
 #include "exec/exec_stats.h"
+#include "optimizer/optimizer.h"
 #include "sql/ast.h"
 #include "storage/database_state.h"
 #include "storage/relation.h"
@@ -139,7 +140,10 @@ class Database {
   Result<ExecResult> ExecuteAsAdmin(std::string_view sql);
 
   /// Runs only the Non-Truman validity test for a SELECT, without executing
-  /// it. Bypasses the cache.
+  /// it: the same check a SELECT runs on a verdict-cache miss, under the
+  /// session's guard (limits and cancel token), so a tripped token fails
+  /// kCancelled and a blown deadline kTimeout. Bypasses the verdict cache
+  /// and admission control, and never degrades to Truman.
   Result<ValidityReport> CheckQueryValidity(std::string_view sql,
                                             const SessionContext& ctx);
 
@@ -162,12 +166,11 @@ class Database {
 
   /// EXPLAIN [ANALYZE] EXECUTE <name>(args): renders the prepared
   /// statement's parameterized plan, and with ANALYZE actually runs the
-  /// execution (full enforcement + statement-cache fast path) and
-  /// annotates the output with cache provenance — whether the Truman plan
-  /// or validity verdict came from the statement cache — plus per-operator
-  /// stats and the validity trace. `prep` is the session's registered
-  /// statement for stmt.execute->name; resolution is the caller's job
-  /// because registries are per connection.
+  /// execution (full enforcement + statement-cache fast path) and appends
+  /// the same report as an ad-hoc EXPLAIN ANALYZE (see Explain). `prep` is
+  /// the session's registered statement for stmt.execute->name; resolution
+  /// is the caller's job because registries are per connection. Audited as
+  /// one statement.
   Result<ExecResult> ExplainPrepared(
       const sql::ExplainStmt& stmt,
       const std::shared_ptr<PreparedStatement>& prep,
@@ -264,6 +267,13 @@ class Database {
                                      const SessionContext& ctx) const;
 
  private:
+  /// The one audit envelope: opens the statement's audit event and
+  /// activity record, runs `body(&event)` (returning a Result), and
+  /// finishes the event with its outcome. Defined and used in
+  /// database.cc only.
+  template <typename Body>
+  auto Audited(const SessionContext& ctx, std::string text, Body body);
+
   /// `audit` (may be null) is the in-flight statement's audit event; the
   /// SELECT path fills verdict / rules / probes / trace id into it.
   Result<ExecResult> ExecuteStmt(const sql::Stmt& stmt,
@@ -311,6 +321,46 @@ class Database {
                                common::AuditEvent* audit,
                                const PreparedRun* prep);
 
+  /// Arms a statement's guard (built from the session's limits, else the
+  /// database defaults) with the session's cancel token and the process
+  /// memory account, and stamps its deadline on the statement's activity
+  /// record. Given `ticket`, then waits for admission under that guard.
+  Status ArmGuard(const SessionContext& ctx, common::QueryGuard* guard,
+                  exec::AdmissionTicket* ticket);
+
+  /// The one Truman step (paper Section 3): rewrites `plan` over the
+  /// session's policy views and normalizes it, under a "truman.rewrite"
+  /// span in `tctx` (may be null). A prepared identity (`prep` with a
+  /// parameterized plan) rewrites the parameterized plan once per
+  /// (principal, statement, session params) through the statement cache,
+  /// setting `*from_cache`, and substitutes this call's arguments. Every
+  /// other caller rewrites uncached.
+  Result<algebra::PlanPtr> TrumanPlan(const algebra::PlanPtr& plan,
+                                      const SessionContext& ctx,
+                                      const PreparedRun* prep,
+                                      const common::TraceContext* tctx,
+                                      bool* from_cache);
+
+  /// The one validity step (paper Sections 4-5), without the verdict
+  /// cache: instantiates the session's authorization views and runs one
+  /// ValidityChecker over `state` under `guard`, recording into `trace`
+  /// and a "validity.check" span in `tctx` (each may be null), its probes
+  /// dispatched as the session's DAGs. With `witness`, an acceptance also
+  /// yields q' (Definition 4.1) there, or null when it has no direct
+  /// rewriting.
+  Result<ValidityReport> CheckValidity(const algebra::PlanPtr& plan,
+                                       const SessionContext& ctx,
+                                       const storage::DatabaseState& state,
+                                       const common::QueryGuard* guard,
+                                       ValidityTrace* trace,
+                                       const common::TraceContext* tctx,
+                                       algebra::PlanPtr* witness = nullptr);
+
+  /// The one optimizer call: cost-based optimization of `plan` with row
+  /// counts read from the statement state `state`.
+  Result<optimizer::OptimizeResult> Optimize(
+      const algebra::PlanPtr& plan, const storage::DatabaseState& state) const;
+
   Result<ExecResult> ExecutePreparedImpl(PreparedStatement& prep,
                                          const std::vector<sql::ExprPtr>& args,
                                          const SessionContext& ctx,
@@ -326,22 +376,23 @@ class Database {
   Result<ExecResult> ApplyCreateView(const sql::CreateViewStmt& stmt);
   Result<ExecResult> ApplyCreateInclusion(const sql::CreateInclusionStmt& stmt);
   Result<ExecResult> ApplyGrant(const sql::GrantStmt& stmt);
-  Result<ExecResult> ExecuteExplain(const sql::ExplainStmt& stmt,
-                                    const SessionContext& ctx,
-                                    common::AuditEvent* audit);
-  /// Appends the EXPLAIN ANALYZE report (validity verdict / rejection,
-  /// row count, per-operator stats, validity trace) for a completed run.
-  void AppendAnalyzeReport(std::string* text, const SessionContext& ctx,
-                           const Result<ExecResult>& run,
-                           const QueryProfile& profile) const;
-  /// Splits the rendered EXPLAIN text into the single-column result shape.
-  static ExecResult ExplainTextResult(const std::string& text);
+  /// The one EXPLAIN body, ad hoc (`prep` null) or for a prepared
+  /// statement. Plain EXPLAIN renders the canonical and optimized plans
+  /// (costed over the statement state) and the Truman rewrite or the
+  /// validity verdict with its witness; EXPLAIN EXECUTE renders the
+  /// parameterized plan. ANALYZE first runs the statement with profiling,
+  /// sharing `audit`, and appends its report (cache provenance, verdict,
+  /// per-operator stats, validity trace).
+  Result<ExecResult> Explain(const sql::ExplainStmt& stmt,
+                             PreparedStatement* prep,
+                             const SessionContext& ctx,
+                             common::AuditEvent* audit);
   Result<ExecResult> ApplyAuthorize(const sql::AuthorizeStmt& stmt);
   Result<ExecResult> ApplyDrop(const sql::DropStmt& stmt);
 
-  /// Optimizes and executes a plan over `state` through the morsel-driven
-  /// parallel executor (serial when the resolved parallelism is 1). `guard`
-  /// (may be null) limits the execution.
+  /// Optimizes (see Optimize) and executes a plan over `state` through the
+  /// morsel-driven parallel executor (serial when the resolved parallelism
+  /// is 1). `guard` (may be null) limits the execution.
   Result<storage::Relation> RunPlan(const algebra::PlanPtr& plan,
                                     const storage::DatabaseState& state,
                                     const SessionContext& ctx,

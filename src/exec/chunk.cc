@@ -434,14 +434,6 @@ void DataChunk::AppendRow(const Row& row) {
   ++size_;
 }
 
-void DataChunk::AppendRowFrom(const DataChunk& src, size_t i) {
-  assert(src.num_columns() == num_columns());
-  size_t shared = std::min(src.num_columns(), num_columns());
-  for (size_t c = 0; c < shared; ++c) cols_[c].AppendFrom(src.cols_[c], i);
-  for (size_t c = shared; c < cols_.size(); ++c) cols_[c].AppendNull();
-  ++size_;
-}
-
 void DataChunk::AppendSelected(const DataChunk& src, const Selection& sel) {
   assert(src.num_columns() == num_columns());
   size_t shared = std::min(src.num_columns(), num_columns());

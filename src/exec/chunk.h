@@ -121,8 +121,6 @@ class DataChunk {
 
   void Reserve(size_t rows);
   void AppendRow(const Row& row);
-  /// Appends row i of src (all columns, typed copies).
-  void AppendRowFrom(const DataChunk& src, size_t i);
   /// Gather: appends the selected rows of src column-at-a-time.
   void AppendSelected(const DataChunk& src, const Selection& sel);
   /// Appends row `li` of `left` concatenated with the row-major `right`

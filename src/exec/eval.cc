@@ -380,25 +380,6 @@ Status ProjectChunk(const std::vector<ScalarPtr>& exprs, const DataChunk& in,
   return Status::OK();
 }
 
-Result<bool> PassesAll(const std::vector<ScalarPtr>& predicates,
-                       const Row& row) {
-  for (const ScalarPtr& p : predicates) {
-    FGAC_ASSIGN_OR_RETURN(bool pass, algebra::EvalPredicate(p, row));
-    if (!pass) return false;
-  }
-  return true;
-}
-
-Result<Row> ProjectRow(const std::vector<ScalarPtr>& exprs, const Row& row) {
-  Row out;
-  out.reserve(exprs.size());
-  for (const ScalarPtr& e : exprs) {
-    FGAC_ASSIGN_OR_RETURN(Value v, algebra::EvalScalar(e, row));
-    out.push_back(std::move(v));
-  }
-  return out;
-}
-
 JoinKeys SplitJoinKeys(const std::vector<ScalarPtr>& predicates,
                        size_t left_arity) {
   JoinKeys out;

@@ -45,19 +45,6 @@ Status ProjectChunk(const std::vector<algebra::ScalarPtr>& exprs,
 /// sel = [0, 1, ..., n-1].
 void IdentitySelection(size_t n, Selection* sel);
 
-// ---------------------------------------------------------------------------
-// Row-at-a-time helpers (reference evaluator parity, small probes)
-// ---------------------------------------------------------------------------
-
-/// True iff every conjunct evaluates to TRUE on `row` (SQL WHERE semantics:
-/// UNKNOWN filters out).
-Result<bool> PassesAll(const std::vector<algebra::ScalarPtr>& predicates,
-                       const Row& row);
-
-/// Evaluates a projection list over `row`.
-Result<Row> ProjectRow(const std::vector<algebra::ScalarPtr>& exprs,
-                       const Row& row);
-
 /// Splits join predicates (over the concatenated left+right slot space)
 /// into hash-joinable equi-pairs and a residual list. An equi-pair is a
 /// conjunct of the form <left-side scalar> = <right-side scalar> where each

@@ -297,6 +297,46 @@ TEST_F(ExplainAnalyzeTest, ExplainWithoutAnalyzeIsUnchanged) {
   EXPECT_EQ(text.find("validity trace:"), std::string::npos);
 }
 
+TEST_F(ExplainAnalyzeTest, AdHocExplainAnalyzeShowsVerdictProvenance) {
+  // Student 11's Non-Truman C3 query: an ad-hoc statement reports where its
+  // verdict came from exactly as EXPLAIN ANALYZE EXECUTE does.
+  Grant("costudentgrades", "11");
+  Grant("myregistrations", "11");
+  SessionContext ctx("11");
+  const std::string q =
+      "explain analyze select * from grades where course-id = 'cs101'";
+  std::string first = ExplainText(q, ctx);
+  EXPECT_NE(first.find("verdict source: validity checker"), std::string::npos)
+      << first;
+  EXPECT_NE(first.find("validity: conditionally valid via"),
+            std::string::npos)
+      << first;
+  std::string second = ExplainText(q, ctx);
+  EXPECT_NE(second.find("verdict source: statement-cache hit"),
+            std::string::npos)
+      << second;
+  EXPECT_NE(second.find("validity: conditionally valid via"),
+            std::string::npos)
+      << second;
+}
+
+TEST_F(ExplainAnalyzeTest, AdHocExplainAnalyzeRewritesTrumanPlanEveryRun) {
+  // Ad-hoc Truman plans are never cached, so every run says it rewrote.
+  Grant("mygrades", "11");
+  ASSERT_TRUE(db_.catalog().SetTrumanView("grades", "mygrades").ok());
+  SessionContext ctx("11");
+  ctx.set_mode(EnforcementMode::kTruman);
+  for (int run = 0; run < 2; ++run) {
+    std::string text = ExplainText(
+        "explain analyze select grade from grades where course-id = 'cs101'",
+        ctx);
+    EXPECT_NE(text.find("truman rewrite: rewritten this call"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("result: 1 row(s)"), std::string::npos) << text;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // EXPLAIN ANALYZE EXECUTE: profiling a prepared execution
 // ---------------------------------------------------------------------------

@@ -359,6 +359,41 @@ TEST_F(GuardrailsTest, CancellationNeverDegrades) {
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
 
+// Student 11's Non-Truman C3 query runs probes over grades. EXPLAIN and
+// CheckQueryValidity run the same check as the SELECT, so they honour the
+// same session guard. (max_rows is an execution budget and EXPLAIN
+// executes nothing, so no row budget is asserted here.)
+TEST_F(GuardrailsTest, ExplainAndCheckQueryValidityObserveCancelToken) {
+  const std::string q = "select * from grades where course-id = 'cs101'";
+  SessionContext ctx = NonTruman("11");
+  ctx.set_cancel_token(std::make_shared<std::atomic<bool>>(true));
+  for (const std::string& sql : {q, "explain " + q}) {
+    auto r = db_.Execute(sql, ctx);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled) << sql;
+  }
+  auto check = db_.CheckQueryValidity(q, ctx);
+  ASSERT_FALSE(check.ok());
+  EXPECT_EQ(check.status().code(), StatusCode::kCancelled);
+}
+
+TEST_F(GuardrailsTest, ExplainAndCheckQueryValidityObserveSessionDeadline) {
+  db_.options().enable_validity_cache = false;
+  const std::string q = "select * from grades where course-id = 'cs101'";
+  QueryLimits limits;
+  limits.timeout = std::chrono::microseconds(1);
+  SessionContext ctx = NonTruman("11");
+  ctx.set_query_limits(limits);
+  for (const std::string& sql : {q, "explain " + q}) {
+    auto r = db_.Execute(sql, ctx);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kTimeout) << sql;
+  }
+  auto check = db_.CheckQueryValidity(q, ctx);
+  ASSERT_FALSE(check.ok());
+  EXPECT_EQ(check.status().code(), StatusCode::kTimeout);
+}
+
 TEST_F(GuardrailsTest, DegradedVerdictIsNeverCached) {
   db_.options().validity.check_timeout = std::chrono::microseconds(1);
   QueryLimits limits;

@@ -368,6 +368,24 @@ TEST_F(SystemTablesTest, AuditTableSeesEventsFromTheSameSessionPromptly) {
   ASSERT_EQ(rows.num_rows(), 1u);
 }
 
+TEST_F(SystemTablesTest, ExplainCostsSystemTablesOverTheStatementState) {
+  // The live fgac_audit table stays empty; EXPLAIN costs its plan over the
+  // statement state, as the SELECT runs, so the estimate counts the
+  // snapshot's rows.
+  constexpr int kStatements = 100;
+  for (int i = 0; i < kStatements; ++i) {
+    MustQueryAdmin(&db_, "select count(*) from students");
+  }
+  storage::Relation explain =
+      MustQueryAdmin(&db_, "explain select * from fgac_audit");
+  std::string text;
+  for (const auto& row : explain.rows()) text += row[0].string_value() + "\n";
+  const std::string marker = "est. rows ";
+  size_t at = text.find(marker);
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_GE(std::stod(text.substr(at + marker.size())), kStatements) << text;
+}
+
 // ---------------------------------------------------------------------------
 // Read-only enforcement
 // ---------------------------------------------------------------------------
