@@ -161,8 +161,8 @@ int main(int argc, char** argv) {
   SessionContext admin("admin");
   admin.set_mode(EnforcementMode::kNone);
 
-  // Uncontended baseline: sequential closed loop (one warm-up to build the
-  // columnar snapshots, then measured runs).
+  // Uncontended baseline: sequential closed loop (one warm-up run, then
+  // measured runs).
   constexpr int kBaselineIters = 150;
   std::vector<uint64_t> base_us;
   base_us.reserve(kBaselineIters);

@@ -30,7 +30,7 @@ Result<storage::Relation> ReferenceEval(const PlanPtr& plan,
         return Status::ExecutionError("no data for table '" + plan->table + "'");
       }
       Relation out(plan->get_columns);
-      out.mutable_rows() = data->rows();
+      for (size_t i = 0; i < data->num_rows(); ++i) out.AddRow(data->GetRow(i));
       return out;
     }
     case PlanKind::kValues: {

@@ -12,10 +12,11 @@
 #include "common/status.h"
 
 /// Deterministic fault-injection layer. Named sites are sprinkled through
-/// storage rebuild, hash-join build, validity-probe execution and
-/// thread-pool dispatch; tests arm a site to fail on its Nth hit, with a
-/// seeded probability, or to run a callback (e.g. flip a cancel token at
-/// an exact execution point).
+/// hash-join build, morsel claims, pipeline dispatch and runs,
+/// validity-probe execution, memory charges, admission and system-table
+/// snapshots; tests arm a site to fail on its Nth hit, with a seeded
+/// probability, or to run a callback (e.g. flip a cancel token at an exact
+/// execution point).
 ///
 /// Sites are compiled into unoptimized builds (Debug / sanitizer, where
 /// NDEBUG is not defined) and into any build configured with

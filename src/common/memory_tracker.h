@@ -8,11 +8,12 @@
 
 namespace fgac::common {
 
-/// Process-level memory accounting for one Database: every materialization
-/// point that already charges a QueryGuard (hash-join builds, sort/distinct
-/// buffers, chunk materialization), plus the columnar snapshot rebuild and
-/// the validity checker's memo expansion, also charges here. Approximate by
-/// design — it bounds blow-ups, it is not an allocator.
+/// Process-level memory accounting for one Database's query-time state:
+/// every materialization point that already charges a QueryGuard (hash-join
+/// builds, sort/distinct buffers, chunk materialization), plus the validity
+/// checker's memo expansion, also charges here. Table storage is not
+/// charged, so the account drains to zero when no statement runs.
+/// Approximate by design — it bounds blow-ups, it is not an allocator.
 ///
 /// Two limits form the hierarchy above the per-query QueryLimits:
 ///  - hard_limit_bytes: a Charge() that would cross it fails with
@@ -26,8 +27,7 @@ namespace fgac::common {
 ///
 /// Thread-safe: all state is relaxed atomics plus one CAS loop for the
 /// high-water mark. Releases must match charges; QueryGuard automates this
-/// for query-lifetime state (it releases everything it forwarded when it
-/// is destroyed), TableData does it for snapshot-lifetime state.
+/// (it releases everything it forwarded when it is destroyed).
 class MemoryTracker {
  public:
   struct Limits {

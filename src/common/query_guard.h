@@ -43,9 +43,6 @@ struct QueryLimits {
   DegradePolicy degrade_policy = DegradePolicy::kReject;
 
   bool has_timeout() const { return timeout.count() > 0; }
-  bool Unlimited() const {
-    return !has_timeout() && max_rows == 0 && max_memory_bytes == 0;
-  }
 };
 
 /// Cooperative guardrail for one query: deadline, cancellation flag and

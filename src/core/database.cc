@@ -16,6 +16,7 @@
 #include "common/fault_injection.h"
 #include "common/thread_pool.h"
 #include "core/truman.h"
+#include "exec/eval.h"
 #include "exec/executor.h"
 #include "exec/parallel.h"
 #include "exec/scheduler.h"
@@ -235,9 +236,6 @@ Database::Database(DatabaseOptions options)
     : options_(std::move(options)),
       tracker_(options_.memory),
       stmt_cache_(options_.statement_cache_capacity) {
-  // Attach the global memory account before any table exists so every
-  // columnar snapshot — system tables included — is charged.
-  state_.SetMemoryTracker(&tracker_);
   admission_ = std::make_unique<exec::AdmissionController>(
       options_.admission.Resolved(), &tracker_);
   // Let execution-time distinct elimination see primary keys.
@@ -1174,6 +1172,65 @@ Result<ExecResult> Database::Explain(const sql::ExplainStmt& stmt,
   return ExplainTextResult(text);
 }
 
+namespace {
+
+/// Ascending indices of the rows of `data` that satisfy `where` (every row
+/// when it is null), found chunk by chunk with the executor's batched
+/// filter, so UPDATE and DELETE evaluate WHERE exactly as a SELECT does.
+Result<std::vector<size_t>> MatchingRows(const storage::TableData& data,
+                                         const algebra::ScalarPtr& where) {
+  std::vector<algebra::ScalarPtr> predicates;
+  if (where != nullptr) predicates.push_back(where);
+  std::vector<size_t> out;
+  exec::DataChunk chunk;
+  exec::Selection sel;
+  for (size_t start = 0; start < data.num_rows();
+       start += exec::DataChunk::kDefaultCapacity) {
+    FGAC_ASSIGN_OR_RETURN(
+        size_t n,
+        data.ScanChunk(start, exec::DataChunk::kDefaultCapacity, &chunk));
+    exec::IdentitySelection(n, &sel);
+    FGAC_RETURN_NOT_OK(exec::FilterSelection(predicates, chunk, &sel));
+    for (uint32_t i : sel) out.push_back(start + i);
+  }
+  return out;
+}
+
+/// True when some row of `data` equals `row` on the paired columns,
+/// data's `data_cols[k]` against row's `row_cols[k]`. NULL equals NULL, as
+/// Value::operator== has it.
+bool HasRow(const storage::TableData& data,
+            const std::vector<size_t>& data_cols, const Row& row,
+            const std::vector<size_t>& row_cols) {
+  exec::DataChunk probe(row.size());
+  probe.AppendRow(row);
+  for (size_t i = 0; i < data.num_rows(); ++i) {
+    bool match = true;
+    for (size_t k = 0; match && k < data_cols.size(); ++k) {
+      const exec::ColumnVector& a = data.column(data_cols[k]);
+      const exec::ColumnVector& b = probe.column(row_cols[k]);
+      match = a.IsNull(i) || b.IsNull(0) ? a.IsNull(i) && b.IsNull(0)
+                                         : exec::CompareAt(a, i, b, 0) == 0;
+    }
+    if (match) return true;
+  }
+  return false;
+}
+
+Row KeyOf(const Row& row, const std::vector<size_t>& cols) {
+  Row key;
+  key.reserve(cols.size());
+  for (size_t c : cols) key.push_back(row[c]);
+  return key;
+}
+
+bool HasNull(const Row& key) {
+  return std::any_of(key.begin(), key.end(),
+                     [](const Value& v) { return v.is_null(); });
+}
+
+}  // namespace
+
 Status Database::CheckRowConstraints(const TableSchema& schema,
                                      const Row& row) const {
   if (row.size() != schema.num_columns()) {
@@ -1196,23 +1253,11 @@ Status Database::CheckRowConstraints(const TableSchema& schema,
     }
   }
   // Primary-key uniqueness.
-  if (schema.has_primary_key()) {
-    const storage::TableData* data = state_.GetTable(schema.name());
-    if (data != nullptr) {
-      for (const Row& existing : data->rows()) {
-        bool same = true;
-        for (size_t idx : schema.primary_key()) {
-          if (!(existing[idx] == row[idx])) {
-            same = false;
-            break;
-          }
-        }
-        if (same) {
-          return Status::ConstraintViolation("duplicate primary key in '" +
-                                             schema.name() + "'");
-        }
-      }
-    }
+  const storage::TableData* data = state_.GetTable(schema.name());
+  if (schema.has_primary_key() && data != nullptr &&
+      HasRow(*data, schema.primary_key(), row, schema.primary_key())) {
+    return Status::ConstraintViolation("duplicate primary key in '" +
+                                       schema.name() + "'");
   }
   return Status::OK();
 }
@@ -1234,27 +1279,88 @@ Status Database::CheckForeignKeys(const std::string& table,
       dst_idx.push_back(*dst->FindColumn(dep.dst_columns[i]));
     }
     // NULL foreign keys are exempt (SQL MATCH SIMPLE).
-    bool has_null = std::any_of(src_idx.begin(), src_idx.end(),
-                                [&](size_t i) { return row[i].is_null(); });
-    if (has_null) continue;
-    bool found = false;
-    for (const Row& candidate : dst_data->rows()) {
-      bool match = true;
-      for (size_t i = 0; i < src_idx.size(); ++i) {
-        if (!(candidate[dst_idx[i]] == row[src_idx[i]])) {
-          match = false;
-          break;
-        }
-      }
-      if (match) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    if (HasNull(KeyOf(row, src_idx))) continue;
+    if (!HasRow(*dst_data, dst_idx, row, src_idx)) {
       return Status::ConstraintViolation(
           "foreign key '" + dep.name + "' violated: no matching row in '" +
           dep.dst_table + "'");
+    }
+  }
+  return Status::OK();
+}
+
+Status Database::CheckKeysAfterWrite(
+    const TableSchema& schema, const std::vector<size_t>& rows,
+    const std::vector<Row>* images, const std::vector<size_t>& assigned) const {
+  if (rows.empty()) return Status::OK();
+  // A DELETE puts every key at stake; an UPDATE only the keys whose
+  // columns it assigns.
+  auto at_stake = [&](const std::vector<size_t>& cols) {
+    return images == nullptr ||
+           std::find_first_of(cols.begin(), cols.end(), assigned.begin(),
+                              assigned.end()) != cols.end();
+  };
+  // The table as the write would leave it, built once a key is at stake.
+  std::optional<std::vector<Row>> after;
+  auto table_after = [&]() -> const std::vector<Row>& {
+    if (after.has_value()) return *after;
+    const storage::TableData& data = *state_.GetTable(schema.name());
+    after.emplace();
+    for (size_t i = 0, k = 0; i < data.num_rows(); ++i) {
+      if (k < rows.size() && rows[k] == i) {
+        if (images != nullptr) after->push_back((*images)[k]);
+        ++k;
+      } else {
+        after->push_back(data.GetRow(i));
+      }
+    }
+    return *after;
+  };
+  if (images != nullptr && schema.has_primary_key() &&
+      at_stake(schema.primary_key())) {
+    std::set<Row> keys;
+    for (const Row& r : table_after()) {
+      if (!keys.insert(KeyOf(r, schema.primary_key())).second) {
+        return Status::ConstraintViolation("duplicate primary key in '" +
+                                           schema.name() + "'");
+      }
+    }
+  }
+  // RESTRICT: every referencing row keeps a target (MATCH SIMPLE, as in
+  // CheckForeignKeys). A self-reference reads the table's new contents.
+  for (const catalog::InclusionDependency& dep : catalog_.constraints()) {
+    const TableSchema* src = catalog_.GetTable(dep.src_table);
+    if (dep.kind != catalog::InclusionDependency::Kind::kForeignKey ||
+        dep.dst_table != schema.name() || src == nullptr) {
+      continue;
+    }
+    std::vector<size_t> src_idx, dst_idx;
+    for (size_t i = 0; i < dep.src_columns.size(); ++i) {
+      src_idx.push_back(*src->FindColumn(dep.src_columns[i]));
+      dst_idx.push_back(*schema.FindColumn(dep.dst_columns[i]));
+    }
+    if (!at_stake(dst_idx)) continue;
+    const std::vector<Row>& rows_after = table_after();
+    std::set<Row> targets;
+    for (const Row& r : rows_after) targets.insert(KeyOf(r, dst_idx));
+    auto loses_target = [&](const Row& r) {
+      Row key = KeyOf(r, src_idx);
+      return !HasNull(key) && targets.count(key) == 0;
+    };
+    bool lost = false;
+    if (dep.src_table == schema.name()) {
+      lost = std::any_of(rows_after.begin(), rows_after.end(), loses_target);
+    } else if (const storage::TableData* src_data =
+                   state_.GetTable(dep.src_table)) {
+      for (size_t i = 0; !lost && i < src_data->num_rows(); ++i) {
+        lost = loses_target(src_data->GetRow(i));
+      }
+    }
+    if (lost) {
+      return Status::ConstraintViolation(
+          "foreign key '" + dep.name + "' violated: a row of '" +
+          dep.src_table + "' would lose its target in '" + schema.name() +
+          "'");
     }
   }
   return Status::OK();
@@ -1343,6 +1449,7 @@ Result<ExecResult> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
   };
   std::vector<BoundAssign> assigns;
   std::vector<std::string> changed_columns;
+  std::vector<size_t> assigned;
   for (const auto& [col, expr] : stmt.assignments) {
     std::optional<size_t> idx = schema->FindColumn(col);
     if (!idx.has_value()) return Status::BindError("unknown column '" + col + "'");
@@ -1351,21 +1458,20 @@ Result<ExecResult> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
         algebra::Binder::BindOverTable(expr, *schema, ctx.params()));
     assigns.push_back({*idx, std::move(value)});
     changed_columns.push_back(col);
+    assigned.push_back(*idx);
   }
 
   storage::TableData* data = state_.GetMutableTable(stmt.table);
   UpdateAuthorizer authorizer(catalog_, ctx);
-  int64_t affected = 0;
 
   // Two phases: compute all new images (with checks), then apply, so a
   // failed check mid-way leaves the table untouched.
-  std::vector<std::pair<size_t, Row>> updates;
-  for (size_t i = 0; i < data->rows().size(); ++i) {
-    const Row& old_row = data->rows()[i];
-    if (where != nullptr) {
-      FGAC_ASSIGN_OR_RETURN(bool pass, algebra::EvalPredicate(where, old_row));
-      if (!pass) continue;
-    }
+  FGAC_ASSIGN_OR_RETURN(std::vector<size_t> matched,
+                        MatchingRows(*data, where));
+  std::vector<Row> images;
+  images.reserve(matched.size());
+  for (size_t i : matched) {
+    const Row old_row = data->GetRow(i);
     Row new_row = old_row;
     for (const BoundAssign& a : assigns) {
       FGAC_ASSIGN_OR_RETURN(Value v, algebra::EvalScalar(a.value, old_row));
@@ -1395,14 +1501,14 @@ Result<ExecResult> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
       }
     }
     FGAC_RETURN_NOT_OK(CheckForeignKeys(stmt.table, new_row));
-    updates.emplace_back(i, std::move(new_row));
+    images.push_back(std::move(new_row));
   }
-  for (auto& [idx, new_row] : updates) {
-    data->UpdateRow(idx, std::move(new_row));
-    ++affected;
+  FGAC_RETURN_NOT_OK(CheckKeysAfterWrite(*schema, matched, &images, assigned));
+  for (size_t k = 0; k < matched.size(); ++k) {
+    data->UpdateRow(matched[k], images[k]);
   }
   ExecResult out;
-  out.affected_rows = affected;
+  out.affected_rows = static_cast<int64_t>(matched.size());
   return out;
 }
 
@@ -1423,23 +1529,21 @@ Result<ExecResult> Database::ExecuteDelete(const sql::DeleteStmt& stmt,
   }
   storage::TableData* data = state_.GetMutableTable(stmt.table);
   UpdateAuthorizer authorizer(catalog_, ctx);
-  std::vector<size_t> to_delete;
-  for (size_t i = 0; i < data->rows().size(); ++i) {
-    const Row& row = data->rows()[i];
-    if (where != nullptr) {
-      FGAC_ASSIGN_OR_RETURN(bool pass, algebra::EvalPredicate(where, row));
-      if (!pass) continue;
-    }
-    if (ctx.mode() != EnforcementMode::kNone) {
-      FGAC_ASSIGN_OR_RETURN(bool ok, authorizer.CheckDelete(stmt.table, row));
+  FGAC_ASSIGN_OR_RETURN(std::vector<size_t> to_delete,
+                        MatchingRows(*data, where));
+  if (ctx.mode() != EnforcementMode::kNone) {
+    for (size_t i : to_delete) {
+      FGAC_ASSIGN_OR_RETURN(
+          bool ok, authorizer.CheckDelete(stmt.table, data->GetRow(i)));
       if (!ok) {
         return Status::NotAuthorized("DELETE from '" + stmt.table +
                                      "' not authorized for user '" +
                                      ctx.user() + "'");
       }
     }
-    to_delete.push_back(i);
   }
+  FGAC_RETURN_NOT_OK(CheckKeysAfterWrite(*schema, to_delete, /*images=*/nullptr,
+                                         /*assigned=*/{}));
   data->EraseIndices(to_delete);
   ExecResult out;
   out.affected_rows = static_cast<int64_t>(to_delete.size());
@@ -1793,21 +1897,17 @@ Status Database::VerifyConstraints() const {
     }
     // Build the set of destination keys.
     std::set<Row> dst_keys;
-    for (const Row& r : dst_data->rows()) {
-      Row key;
-      for (size_t i : dst_idx) key.push_back(r[i]);
-      dst_keys.insert(std::move(key));
+    for (size_t i = 0; i < dst_data->num_rows(); ++i) {
+      dst_keys.insert(KeyOf(dst_data->GetRow(i), dst_idx));
     }
-    for (const Row& r : src_data->rows()) {
+    for (size_t i = 0; i < src_data->num_rows(); ++i) {
+      const Row r = src_data->GetRow(i);
       if (pred != nullptr) {
         FGAC_ASSIGN_OR_RETURN(bool pass, algebra::EvalPredicate(pred, r));
         if (!pass) continue;
       }
-      Row key;
-      for (size_t i : src_idx) key.push_back(r[i]);
-      bool has_null = std::any_of(key.begin(), key.end(),
-                                  [](const Value& v) { return v.is_null(); });
-      if (has_null) continue;
+      Row key = KeyOf(r, src_idx);
+      if (HasNull(key)) continue;
       if (dst_keys.count(key) == 0) {
         return Status::ConstraintViolation(
             "inclusion dependency '" + dep.name + "' violated by row " +

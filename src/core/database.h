@@ -98,10 +98,11 @@ struct DatabaseOptions {
   /// Enabled by default: every statement executed through Execute /
   /// ExecuteAsAdmin / ExecuteScript emits one AuditEvent.
   common::AuditOptions audit;
-  /// Process-wide memory budget charged at the real allocation points
-  /// (chunk materialization, hash-join builds, columnar snapshots, memo
-  /// expansion). soft_limit trips admission-time shedding; hard_limit
-  /// aborts the charging query with kResourceExhausted. 0 = unlimited.
+  /// Process-wide budget on query-time memory, charged at the real
+  /// allocation points (chunk materialization, hash-join builds, sort and
+  /// distinct buffers, memo expansion); table storage is not counted.
+  /// soft_limit trips admission-time shedding; hard_limit aborts the
+  /// charging query with kResourceExhausted. 0 = unlimited.
   common::MemoryTracker::Limits memory;
   /// Admission control in front of the scheduler: bounded deadline-aware
   /// wait queue, load shedding with retry-after hints. Disabled by default
@@ -434,10 +435,18 @@ class Database {
   Status CheckRowConstraints(const catalog::TableSchema& schema,
                              const Row& row) const;
   Status CheckForeignKeys(const std::string& table, const Row& row) const;
+  /// Refuses an UPDATE or DELETE that would break a key, before anything is
+  /// applied. `rows` (ascending) are the rows written and `images` their
+  /// new images, null for a DELETE; `assigned` are the UPDATE's target
+  /// columns. A new image may not duplicate a primary key, and no row that
+  /// references this table through a foreign key may lose its target
+  /// (RESTRICT). Writes that touch no key column skip both checks.
+  Status CheckKeysAfterWrite(const catalog::TableSchema& schema,
+                             const std::vector<size_t>& rows,
+                             const std::vector<Row>* images,
+                             const std::vector<size_t>& assigned) const;
 
   DatabaseOptions options_;
-  /// Declared before state_: TableData destructors release their columnar
-  /// snapshot charges into the tracker, so it must outlive the storage.
   common::MemoryTracker tracker_;
   std::unique_ptr<exec::AdmissionController> admission_;
   catalog::Catalog catalog_;

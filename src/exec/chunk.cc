@@ -343,6 +343,71 @@ void ColumnVector::Truncate(size_t n) {
   }
 }
 
+void ColumnVector::Set(size_t i, const Value& v) {
+  if (v.is_null()) {
+    if (IsValid(i)) ++null_count_;
+    valid_[i] = 0;
+    if (tag_ == Tag::kGeneric) generic_[i] = Value::Null();
+    return;
+  }
+  PrepareAppend(v.kind());
+  switch (tag_) {
+    case Tag::kBool:
+      bools_[i] = v.bool_value() ? 1 : 0;
+      break;
+    case Tag::kInt:
+      ints_[i] = v.int_value();
+      break;
+    case Tag::kDouble:
+      doubles_[i] = v.double_value();
+      break;
+    case Tag::kString:
+      strings_[i] = v.string_value();
+      break;
+    case Tag::kGeneric:
+      generic_[i] = v;
+      break;
+    case Tag::kUntyped:
+      break;  // unreachable: PrepareAppend typed the column
+  }
+  if (IsNull(i)) --null_count_;
+  valid_[i] = 1;
+}
+
+namespace {
+
+// Compacts `v` over the positions not listed in `ascending`. Empty vectors
+// (the storage a column's tag does not use) are left alone.
+template <typename T>
+void EraseAscending(std::vector<T>* v, const std::vector<size_t>& ascending) {
+  if (v->empty()) return;
+  size_t out = ascending.front();
+  size_t next = 0;
+  for (size_t i = out; i < v->size(); ++i) {
+    if (next < ascending.size() && ascending[next] == i) {
+      ++next;
+      continue;
+    }
+    (*v)[out++] = std::move((*v)[i]);
+  }
+  v->resize(out);
+}
+
+}  // namespace
+
+void ColumnVector::Erase(const std::vector<size_t>& ascending) {
+  if (ascending.empty()) return;
+  for (size_t i : ascending) {
+    if (IsNull(i)) --null_count_;
+  }
+  EraseAscending(&valid_, ascending);
+  EraseAscending(&bools_, ascending);
+  EraseAscending(&ints_, ascending);
+  EraseAscending(&doubles_, ascending);
+  EraseAscending(&strings_, ascending);
+  EraseAscending(&generic_, ascending);
+}
+
 Value ColumnVector::GetValue(size_t i) const {
   if (IsNull(i)) return Value::Null();
   switch (tag_) {

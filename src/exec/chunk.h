@@ -62,6 +62,12 @@ class ColumnVector {
   void AppendRange(const ColumnVector& src, size_t start, size_t n);
   /// Drops all elements past the first n.
   void Truncate(size_t n);
+  /// Overwrites element i in place. A value whose kind conflicts with the
+  /// column's tag degrades the column to generic storage, as Append does.
+  void Set(size_t i, const Value& v);
+  /// Removes the elements at the given (ascending, deduplicated) positions,
+  /// moving the survivors down in place; storage is never reallocated.
+  void Erase(const std::vector<size_t>& ascending);
 
   /// Materializes element i as a Value (copies string payloads).
   Value GetValue(size_t i) const;

@@ -47,8 +47,8 @@ bool IsParallelizable(const algebra::PlanPtr& plan,
 /// tasks; base-table scans share a single atomic morsel cursor.
 /// `num_threads` is the scan pipeline's task count; `num_threads <= 1` is
 /// the serial executor. Callers must not mutate `state` while the call is
-/// in flight (same contract as ExecutePlan, now enforced across threads by
-/// TableData's columnar snapshot synchronization).
+/// in flight (same contract as ExecutePlan); concurrent scans of one table
+/// are safe because reads write nothing.
 ///
 /// All tasks share `guard` (may be null): a cancel/deadline/budget trip
 /// observed by any task aborts the DAG — running scans drain at their next

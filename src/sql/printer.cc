@@ -1,5 +1,7 @@
 #include "sql/printer.h"
 
+#include <charconv>
+
 #include "common/strings.h"
 
 namespace fgac::sql {
@@ -37,6 +39,19 @@ std::string TypeNameSql(TypeName t) {
   return "?";
 }
 
+/// Doubles print in the shortest form that re-parses to the identical
+/// value (Value::ToString's display rounds to 10 digits), so the canonical
+/// text tells every two doubles apart. Integral values keep a ".0".
+std::string LiteralSql(const Value& v) {
+  if (!v.is_double()) return v.ToString();
+  char buf[32];
+  std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v.double_value());
+  std::string out(buf, r.ptr);
+  if (out.find_first_of(".ein") == std::string::npos) out += ".0";
+  return out;
+}
+
 std::string ColumnList(const std::vector<std::string>& cols) {
   std::string out = "(";
   out += Join(cols, ", ") + ")";
@@ -49,7 +64,7 @@ std::string ExprToSql(const ExprPtr& expr) {
   if (expr == nullptr) return "<null>";
   switch (expr->kind) {
     case ExprKind::kLiteral:
-      return expr->value.ToString();
+      return LiteralSql(expr->value);
     case ExprKind::kColumnRef:
       if (expr->qualifier.empty()) return expr->column;
       return expr->qualifier + "." + expr->column;

@@ -2,17 +2,11 @@
 
 namespace fgac::storage {
 
-void DatabaseState::SetMemoryTracker(common::MemoryTracker* tracker) {
-  tracker_ = tracker;
-  for (auto& [name, data] : tables_) data.set_memory_tracker(tracker);
-}
-
 Status DatabaseState::CreateTable(const std::string& name, size_t num_columns) {
   if (tables_.count(name) > 0) {
     return Status::CatalogError("table data for '" + name + "' already exists");
   }
-  auto it = tables_.emplace(name, TableData(num_columns)).first;
-  it->second.set_memory_tracker(tracker_);
+  tables_.emplace(name, TableData(num_columns));
   ++structural_version_;
   return Status::OK();
 }
@@ -46,11 +40,7 @@ TableData* DatabaseState::GetMutableTable(const std::string& name) {
 
 DatabaseState DatabaseState::Clone() const {
   DatabaseState copy;
-  for (const auto& [name, data] : tables_) {
-    TableData t(data.num_columns());
-    t.ReplaceAllRows(data.rows());
-    copy.tables_.emplace(name, std::move(t));
-  }
+  copy.tables_ = tables_;
   return copy;
 }
 

@@ -24,19 +24,12 @@ namespace fgac::storage {
 class DatabaseState {
  public:
   DatabaseState() = default;
-  /// A layer over `base`, which must outlive it. Inherits base's memory
-  /// tracker, so the layer's columnar snapshots are charged too.
-  explicit DatabaseState(const DatabaseState* base)
-      : base_(base), tracker_(base->tracker_) {}
+  /// A layer over `base`, which must outlive it.
+  explicit DatabaseState(const DatabaseState* base) : base_(base) {}
   DatabaseState(const DatabaseState&) = delete;
   DatabaseState& operator=(const DatabaseState&) = delete;
   DatabaseState(DatabaseState&&) = default;
   DatabaseState& operator=(DatabaseState&&) = default;
-
-  /// Registers every table's columnar-snapshot rebuild with the global
-  /// memory account (existing tables and those created later). Pass
-  /// nullptr to detach. Not thread-safe against concurrent scans.
-  void SetMemoryTracker(common::MemoryTracker* tracker);
 
   /// Creates the table in this state; in a layer it shadows the base's
   /// table of the same name.
@@ -47,7 +40,7 @@ class DatabaseState {
   /// This state's own tables only: a layer never writes its base.
   TableData* GetMutableTable(const std::string& name);
 
-  /// Deep copy (rows are value types).
+  /// Deep copy of this state's own tables (columns are value types).
   DatabaseState Clone() const;
 
   /// Total number of rows across all tables (diagnostics).
@@ -63,7 +56,6 @@ class DatabaseState {
  private:
   std::map<std::string, TableData> tables_;
   const DatabaseState* base_ = nullptr;
-  common::MemoryTracker* tracker_ = nullptr;
   /// Structural changes; absorbs the version of dropped tables so the
   /// aggregate never repeats a previously observed value.
   uint64_t structural_version_ = 0;

@@ -2,110 +2,66 @@
 
 #include <algorithm>
 
-#include "common/fault_injection.h"
-
 namespace fgac::storage {
 
-TableData::~TableData() {
-  if (tracker_ != nullptr && snapshot_charged_ > 0) {
-    tracker_->Release(snapshot_charged_);
-  }
+Row TableData::GetRow(size_t i) const {
+  Row row;
+  row.reserve(columns_.size());
+  for (const exec::ColumnVector& c : columns_) row.push_back(c.GetValue(i));
+  return row;
 }
 
-void TableData::MoveFrom(TableData&& other) noexcept {
-  num_columns_ = other.num_columns_;
-  rows_ = std::move(other.rows_);
-  version_ = other.version_;
-  columns_ = std::move(other.columns_);
-  columns_dirty_.store(other.columns_dirty_.load(std::memory_order_acquire),
-                       std::memory_order_release);
-  tracker_ = other.tracker_;
-  snapshot_charged_ = other.snapshot_charged_;
-  // The moved-from table no longer owns the snapshot's charge.
-  other.tracker_ = nullptr;
-  other.snapshot_charged_ = 0;
-}
-
-void TableData::InsertRows(std::vector<Row> rows) {
-  Invalidate();
-  if (rows_.empty()) {
-    rows_ = std::move(rows);
-    return;
-  }
-  rows_.reserve(rows_.size() + rows.size());
-  for (Row& r : rows) rows_.push_back(std::move(r));
-}
-
-void TableData::UpdateRow(size_t i, Row row) {
-  rows_[i] = std::move(row);
-  Invalidate();
-}
-
-void TableData::ReplaceAllRows(std::vector<Row> rows) {
-  rows_ = std::move(rows);
-  Invalidate();
-}
-
-Status TableData::EnsureColumnsBuilt() const {
-  if (!columns_dirty_.load(std::memory_order_acquire)) return Status::OK();
-  std::lock_guard<std::mutex> lock(columns_mutex_);
-  if (!columns_dirty_.load(std::memory_order_relaxed)) return Status::OK();
-  FGAC_FAULT_POINT("storage.rebuild");
-  if (tracker_ != nullptr) {
-    // Swap the snapshot's global charge before materializing: release the
-    // stale snapshot's footprint, charge the new one. Denial fails the
-    // scan and keeps the snapshot dirty — the rebuild retries later.
-    uint64_t bytes =
-        rows_.size() * num_columns_ * static_cast<uint64_t>(sizeof(Value));
-    if (snapshot_charged_ > 0) tracker_->Release(snapshot_charged_);
-    snapshot_charged_ = 0;
-    FGAC_RETURN_NOT_OK(tracker_->Charge(bytes));
-    snapshot_charged_ = bytes;
-  }
-  columns_.assign(num_columns_, exec::ColumnVector());
-  for (exec::ColumnVector& c : columns_) c.Reserve(rows_.size());
-  for (const Row& r : rows_) {
-    for (size_t c = 0; c < num_columns_; ++c) {
-      // A malformed (narrow) row degrades to NULL padding rather than
-      // reading past its end.
-      if (c < r.size()) {
-        columns_[c].Append(r[c]);
-      } else {
-        columns_[c].AppendNull();
-      }
+void TableData::Append(const Row& row) {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (c < row.size()) {
+      columns_[c].Append(row[c]);
+    } else {
+      columns_[c].AppendNull();
     }
   }
-  columns_dirty_.store(false, std::memory_order_release);
-  return Status::OK();
+  ++num_rows_;
 }
 
-Result<size_t> TableData::ScanChunk(size_t start, size_t max_rows,
-                                    exec::DataChunk* out) const {
-  FGAC_RETURN_NOT_OK(EnsureColumnsBuilt());
-  out->Reset(num_columns_);
-  if (start >= rows_.size()) return 0;
-  size_t n = std::min(max_rows, rows_.size() - start);
-  for (size_t c = 0; c < num_columns_; ++c) {
-    out->column(c).AppendRange(columns_[c], start, n);
+void TableData::Insert(const Row& row) {
+  Append(row);
+  ++version_;
+}
+
+void TableData::InsertRows(const std::vector<Row>& rows) {
+  for (const Row& r : rows) Append(r);
+  ++version_;
+}
+
+void TableData::UpdateRow(size_t i, const Row& row) {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].Set(i, c < row.size() ? row[c] : Value::Null());
   }
-  out->SetCardinality(n);
-  return n;
+  ++version_;
+}
+
+void TableData::ReplaceAllRows(const std::vector<Row>& rows) {
+  for (exec::ColumnVector& c : columns_) c.Clear();
+  num_rows_ = 0;
+  InsertRows(rows);
 }
 
 void TableData::EraseIndices(const std::vector<size_t>& ascending_indices) {
   if (ascending_indices.empty()) return;
-  Invalidate();
-  std::vector<Row> kept;
-  kept.reserve(rows_.size() - ascending_indices.size());
-  size_t next = 0;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (next < ascending_indices.size() && ascending_indices[next] == i) {
-      ++next;
-      continue;
-    }
-    kept.push_back(std::move(rows_[i]));
+  for (exec::ColumnVector& c : columns_) c.Erase(ascending_indices);
+  num_rows_ -= ascending_indices.size();
+  ++version_;
+}
+
+Result<size_t> TableData::ScanChunk(size_t start, size_t max_rows,
+                                    exec::DataChunk* out) const {
+  out->Reset(columns_.size());
+  if (start >= num_rows_) return 0;
+  size_t n = std::min(max_rows, num_rows_ - start);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    out->column(c).AppendRange(columns_[c], start, n);
   }
-  rows_ = std::move(kept);
+  out->SetCardinality(n);
+  return n;
 }
 
 }  // namespace fgac::storage

@@ -116,6 +116,95 @@ TEST(ColumnVectorTest, TruncateMaintainsNullCount) {
   EXPECT_TRUE(col.AllValid());
 }
 
+TEST(ColumnVectorTest, SetOverwritesInPlace) {
+  ColumnVector col;
+  for (int64_t v : {1, 2, 3}) col.AppendInt(v);
+  col.Set(1, Value::Int(20));  // typed overwrite
+  EXPECT_EQ(col.tag(), ColumnVector::Tag::kInt);
+  EXPECT_EQ(col.IntAt(1), 20);
+  EXPECT_TRUE(col.AllValid());
+  col.Set(0, Value::Null());  // value to NULL
+  EXPECT_TRUE(col.IsNull(0));
+  EXPECT_FALSE(col.AllValid());
+  col.Set(0, Value::Int(10));  // NULL to value
+  EXPECT_EQ(col.GetValue(0), Value::Int(10));
+  EXPECT_TRUE(col.AllValid());
+  col.Set(0, Value::Null());  // setting NULL twice counts it once
+  col.Set(0, Value::Null());
+  col.Set(0, Value::Int(10));
+  EXPECT_TRUE(col.AllValid());
+  // A mismatched kind degrades the column, as Append does.
+  col.Set(2, Value::String("x"));
+  EXPECT_EQ(col.tag(), ColumnVector::Tag::kGeneric);
+  ASSERT_EQ(col.size(), 3u);
+  EXPECT_EQ(col.GetValue(0), Value::Int(10));
+  EXPECT_EQ(col.GetValue(1), Value::Int(20));
+  EXPECT_EQ(col.GetValue(2), Value::String("x"));
+  col.Set(1, Value::Null());
+  EXPECT_TRUE(col.IsNull(1));
+  EXPECT_FALSE(col.AllValid());
+}
+
+TEST(ColumnVectorTest, SetTypesAnAllNullColumn) {
+  ColumnVector col;
+  col.AppendNull();
+  col.AppendNull();
+  col.Set(1, Value::Double(2.5));
+  EXPECT_EQ(col.tag(), ColumnVector::Tag::kDouble);
+  EXPECT_TRUE(col.IsNull(0));
+  EXPECT_EQ(col.DoubleAt(1), 2.5);
+  EXPECT_FALSE(col.AllValid());
+  col.Set(0, Value::Double(1.5));
+  EXPECT_TRUE(col.AllValid());
+  EXPECT_EQ(col.GetValue(0), Value::Double(1.5));
+}
+
+TEST(ColumnVectorTest, EraseCompactsInPlace) {
+  // s0, s1, NULL, s3, s4
+  auto make = [] {
+    ColumnVector col;
+    for (int i = 0; i < 5; ++i) {
+      if (i == 2) {
+        col.AppendNull();
+        continue;
+      }
+      std::string s = "s";
+      s += std::to_string(i);
+      col.AppendString(s);
+    }
+    return col;
+  };
+  auto values = [](const ColumnVector& col) {
+    std::string out;
+    for (size_t i = 0; i < col.size(); ++i) {
+      out += col.GetValue(i).ToString() + " ";
+    }
+    return out;
+  };
+  ColumnVector first = make();
+  first.Erase({0});
+  EXPECT_EQ(values(first), "'s1' NULL 's3' 's4' ");
+  EXPECT_FALSE(first.AllValid());
+  ColumnVector last = make();
+  last.Erase({4});
+  EXPECT_EQ(values(last), "'s0' 's1' NULL 's3' ");
+  ColumnVector middle = make();
+  middle.Erase({1, 2});
+  EXPECT_EQ(values(middle), "'s0' 's3' 's4' ");
+  EXPECT_TRUE(middle.AllValid());
+  EXPECT_EQ(middle.tag(), ColumnVector::Tag::kString);
+  ColumnVector every = make();
+  every.Erase({0, 1, 2, 3, 4});
+  EXPECT_EQ(every.size(), 0u);
+  EXPECT_TRUE(every.AllValid());
+  // Generic storage compacts the same way.
+  ColumnVector generic = make();
+  generic.Set(0, Value::Int(7));
+  ASSERT_EQ(generic.tag(), ColumnVector::Tag::kGeneric);
+  generic.Erase({1, 3});
+  EXPECT_EQ(values(generic), "7 NULL 's4' ");
+}
+
 TEST(DataChunkTest, RowRoundTripWithNulls) {
   DataChunk chunk(3);
   chunk.AppendRow({Value::String("a"), Value::Null(), Value::Double(4.0)});

@@ -88,20 +88,6 @@ TEST_F(FaultInjectionTest, InjectorIsDeterministic) {
   EXPECT_EQ(fi.HitCount("nth.site"), 4u);
 }
 
-TEST_F(FaultInjectionTest, StorageRebuildFailureIsRetryable) {
-  // A failed columnar-snapshot rebuild must surface as a clean error and
-  // leave the snapshot dirty, so the next scan rebuilds successfully —
-  // not serve a half-built snapshot.
-  FaultInjector::Instance().FailOnHit("storage.rebuild");
-  auto broken = db_.Execute("select * from students", Admin());
-  ASSERT_FALSE(broken.ok());
-  EXPECT_NE(broken.status().message().find("fault injected"),
-            std::string::npos);
-  auto retried = db_.Execute("select * from students", Admin());
-  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  EXPECT_EQ(retried.value().relation.num_rows(), 4u);
-}
-
 TEST_F(FaultInjectionTest, HashJoinBuildFailurePropagates) {
   FaultInjector::Instance().FailOnHit("exec.hash_join.build");
   auto r = db_.Execute(
@@ -243,9 +229,8 @@ TEST_F(FaultInjectionTest, ProbabilisticFaultStormNeverHangs) {
   SessionContext ctx("11");
   ctx.set_mode(EnforcementMode::kNonTruman);
   db_.options().enable_validity_cache = false;
-  const char* sites[] = {"storage.rebuild", "exec.hash_join.build",
-                         "validity.probe", "pipeline.run",
-                         "parallel.morsel"};
+  const char* sites[] = {"exec.hash_join.build", "validity.probe",
+                         "pipeline.run", "parallel.morsel"};
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     for (const char* site : sites) fi.FailWithProbability(site, 0.3, seed);
     for (size_t threads : {size_t{1}, size_t{4}}) {
@@ -253,7 +238,9 @@ TEST_F(FaultInjectionTest, ProbabilisticFaultStormNeverHangs) {
       run.set_exec_parallelism(threads);
       auto r =
           db_.Execute("select * from grades where course-id = 'cs101'", run);
-      if (!r.ok()) EXPECT_FALSE(r.status().message().empty());
+      if (!r.ok()) {
+        EXPECT_FALSE(r.status().message().empty());
+      }
     }
   }
   fi.Reset();

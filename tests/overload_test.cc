@@ -424,32 +424,39 @@ TEST(OverloadEndToEndTest, HardMemoryLimitAbortsQuery) {
 
   SessionContext admin("admin");
   admin.set_mode(EnforcementMode::kNone);
-  auto r = db.Execute("select b from big", admin);
+  // A scan charges nothing; the sort charges its buffered input.
+  auto r = db.Execute("select a, b from big order by a", admin);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GE(db.memory_tracker().charges_denied(), 1u);
-  // The denied snapshot charge must not leak into the account.
-  EXPECT_LE(db.memory_tracker().used(), 1024u);
+  // The aborted query's charges must not leak into the account.
+  EXPECT_EQ(db.memory_tracker().used(), 0u);
 }
 
 TEST(OverloadEndToEndTest, SoftMemoryLimitShedsArrivals) {
   DatabaseOptions opts;
-  opts.memory.soft_limit_bytes = 1;  // any resident snapshot trips it
+  opts.memory.soft_limit_bytes = 1;
   Database db(opts);
   SetupUniversity(&db);
   SessionContext admin("admin");
   admin.set_mode(EnforcementMode::kNone);
-  // First query admits (nothing resident yet) and leaves the columnar
-  // snapshot charged past the soft limit...
+  // Nothing stays charged after a query, so an idle database admits.
   auto first = db.Execute("select name from students", admin);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_FALSE(db.memory_tracker().overloaded());
+  // State held past the soft limit (as an in-flight query's would be)...
+  ASSERT_TRUE(db.memory_tracker().Charge(2).ok());
   ASSERT_TRUE(db.memory_tracker().overloaded());
-  // ...so the next arrival is shed with a retry-after hint.
+  // ...sheds the next arrival with a retry-after hint.
   auto second = db.Execute("select name from students", admin);
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kOverloaded);
   EXPECT_GE(RetryAfterHintMs(second.status()), 1);
   EXPECT_GE(db.admission().shed_memory(), 1u);
+  // Once the state drains, arrivals run again.
+  db.memory_tracker().Release(2);
+  auto third = db.Execute("select name from students", admin);
+  EXPECT_TRUE(third.ok()) << third.status().ToString();
 }
 
 TEST(OverloadEndToEndTest, MemoryPressureDegradesNonTrumanToTruman) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "sql/parser.h"
 
 namespace fgac::sql {
@@ -89,6 +92,26 @@ TEST(PrinterTest, ExprForms) {
   auto reparsed = Parser::ParseExpression(printed);
   ASSERT_TRUE(reparsed.ok()) << printed;
   EXPECT_EQ(printed, ExprToSql(reparsed.value()));
+}
+
+TEST(PrinterTest, DoubleLiteralsPrintExactly) {
+  // The canonical text breaks verdict-key ties, so distinct doubles must
+  // print distinctly and re-parse to the identical value.
+  std::set<std::string> printed;
+  for (const char* literal : {"0.3", "0.30000000000000004", "12345678901.5",
+                              "3.0", "1e300", "5e-324"}) {
+    auto expr = Parser::ParseExpression(std::string("grade = ") + literal);
+    ASSERT_TRUE(expr.ok()) << literal;
+    const std::string sql = ExprToSql(expr.value());
+    auto reparsed = Parser::ParseExpression(sql);
+    ASSERT_TRUE(reparsed.ok()) << sql;
+    EXPECT_EQ(reparsed.value()->right->value.double_value(),
+              expr.value()->right->value.double_value())
+        << sql;
+    EXPECT_TRUE(printed.insert(sql).second) << "printed twice: " << sql;
+  }
+  EXPECT_EQ(printed.count("(grade = 3.0)"), 1u);
+  EXPECT_EQ(printed.count("(grade = 12345678901.5)"), 1u);
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ class PaEquivalenceTest
     if (data->num_rows() == 0) return false;
     // update one cell (read-modify-write through the versioned API)
     size_t r = (*rng)() % data->num_rows();
-    Row row = data->rows()[r];
+    Row row = data->GetRow(r);
     size_t c = (*rng)() % row.size();
     if (row[c].is_double()) {
       row[c] = Value::Double(1.0 + static_cast<double>((*rng)() % 7) * 0.5);
@@ -221,12 +221,13 @@ TEST(PaEquivalenceRegressionTest, Example43RejectionIsNecessary) {
   // Remove 12's ee150 registration in the alternative state.
   storage::TableData* reg = alt.GetMutableTable("registered");
   std::vector<Row> kept;
-  for (const Row& r : reg->rows()) {
+  for (size_t i = 0; i < reg->num_rows(); ++i) {
+    Row r = reg->GetRow(i);
     if (!(r[0] == Value::String("12") && r[1] == Value::String("ee150"))) {
-      kept.push_back(r);
+      kept.push_back(std::move(r));
     }
   }
-  ASSERT_LT(kept.size(), reg->rows().size());
+  ASSERT_LT(kept.size(), reg->num_rows());
   reg->ReplaceAllRows(kept);
   auto out2 = algebra::ReferenceEval(view.value().plan, alt);
   ASSERT_TRUE(out2.ok());

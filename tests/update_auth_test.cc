@@ -234,5 +234,64 @@ TEST_F(DmlConstraintTest, VerifyConstraintsDetectsViolation) {
   EXPECT_EQ(s.code(), StatusCode::kConstraintViolation);
 }
 
+// UPDATE and DELETE keep keys unique and foreign keys satisfied: U3 and the
+// keyed-middle decomposition are sound only while both hold.
+class WriteKeyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.ExecuteScript(R"sql(
+      create table p (k varchar not null primary key, v varchar not null);
+      create table c (k varchar not null references p, w varchar not null);
+      insert into p values ('a', 'x'), ('b', 'y');
+      insert into c values ('a', 'z');
+    )sql")
+                    .ok());
+  }
+
+  std::string Contents() {
+    return fgac::testing::SortedRowsToString(
+               fgac::testing::MustQueryAdmin(&db_, "select * from p")) +
+           fgac::testing::SortedRowsToString(
+               fgac::testing::MustQueryAdmin(&db_, "select * from c"));
+  }
+
+  void ExpectRefused(const std::string& sql) {
+    const std::string before = Contents();
+    auto r = db_.ExecuteAsAdmin(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kConstraintViolation) << sql;
+    EXPECT_EQ(Contents(), before) << sql;
+    EXPECT_TRUE(db_.VerifyConstraints().ok()) << sql;
+  }
+
+  Database db_;
+};
+
+TEST_F(WriteKeyTest, UpdateToDuplicateKeyRefused) {
+  ExpectRefused("update p set k = 'a' where k = 'b'");
+}
+
+TEST_F(WriteKeyTest, DeleteOfReferencedRowRefused) {
+  ExpectRefused("delete from p where k = 'a'");
+}
+
+TEST_F(WriteKeyTest, KeyChangeOfReferencedRowRefused) {
+  ExpectRefused("update p set k = 'q' where k = 'a'");
+}
+
+TEST_F(WriteKeyTest, UnreferencedDeleteAndNonKeyUpdateSucceed) {
+  auto changed = db_.ExecuteAsAdmin("update p set k = 'c' where k = 'b'");
+  ASSERT_TRUE(changed.ok()) << changed.status().ToString();
+  EXPECT_EQ(changed.value().affected_rows, 1);
+  auto updated = db_.ExecuteAsAdmin("update p set v = 'w' where k = 'a'");
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_EQ(updated.value().affected_rows, 1);
+  auto deleted = db_.ExecuteAsAdmin("delete from p where k = 'c'");
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(deleted.value().affected_rows, 1);
+  EXPECT_EQ(Contents(), "('a', 'w')\n('a', 'z')\n");
+  EXPECT_TRUE(db_.VerifyConstraints().ok());
+}
+
 }  // namespace
 }  // namespace fgac

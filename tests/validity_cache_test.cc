@@ -94,8 +94,8 @@ TEST_F(DatabaseCacheTest, DirectStorageDeleteInvalidatesConditionalVerdict) {
   storage::TableData* reg = db_.state().GetMutableTable("registered");
   ASSERT_NE(reg, nullptr);
   std::vector<size_t> doomed;
-  for (size_t i = 0; i < reg->rows().size(); ++i) {
-    const Row& row = reg->rows()[i];
+  for (size_t i = 0; i < reg->num_rows(); ++i) {
+    const Row row = reg->GetRow(i);
     if (row[0] == Value::String("11") && row[1] == Value::String("cs101"))
       doomed.push_back(i);
   }
