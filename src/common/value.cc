@@ -44,9 +44,7 @@ int Value::Compare(const Value& other) const {
         if (a == b) return 0;
         return a < b ? -1 : 1;
       }
-      double a = AsDouble(), b = other.AsDouble();
-      if (a == b) return 0;
-      return a < b ? -1 : 1;
+      return CompareDoubles(AsDouble(), other.AsDouble());
     }
     case Kind::kString:
       return string_value().compare(other.string_value());
@@ -57,23 +55,15 @@ int Value::Compare(const Value& other) const {
 size_t Value::Hash() const {
   switch (kind()) {
     case Kind::kNull:
-      return 0x9e3779b97f4a7c15ULL;
+      return HashNull();
     case Kind::kBool:
-      return bool_value() ? 0x1234567 : 0x89abcde;
-    case Kind::kInt: {
-      // Hash through double so that equal int/double values collide.
-      // Values near INT64_MAX round up to 2^63, which does not fit back
-      // into int64_t (the cast would be undefined), so test the range first.
-      double d = static_cast<double>(int_value());
-      if (d < 9223372036854775808.0 && static_cast<int64_t>(d) == int_value()) {
-        return std::hash<double>()(d);
-      }
-      return std::hash<int64_t>()(int_value());
-    }
+      return HashBool(bool_value());
+    case Kind::kInt:
+      return HashInt(int_value());
     case Kind::kDouble:
-      return std::hash<double>()(double_value());
+      return HashDouble(double_value());
     case Kind::kString:
-      return std::hash<std::string>()(string_value());
+      return HashString(string_value());
   }
   return 0;
 }
@@ -140,10 +130,8 @@ std::optional<bool> SqlNot(std::optional<bool> a) {
 }
 
 size_t RowHash::operator()(const Row& row) const {
-  size_t h = 0x51ed270b;
-  for (const Value& v : row) {
-    h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
+  size_t h = kRowHashSeed;
+  for (const Value& v : row) h = CombineRowHash(h, v.Hash());
   return h;
 }
 

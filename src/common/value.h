@@ -1,7 +1,9 @@
 #ifndef FGAC_COMMON_VALUE_H_
 #define FGAC_COMMON_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <variant>
@@ -12,9 +14,9 @@ namespace fgac {
 /// A runtime SQL value: NULL, BOOLEAN, BIGINT, DOUBLE or VARCHAR.
 ///
 /// Values are small, copyable, and totally ordered by `Compare` (NULLs sort
-/// first; cross-numeric-type comparison promotes to double). SQL 3-valued
-/// logic is implemented by the SqlEq/SqlLt/... helpers which return
-/// std::nullopt for UNKNOWN.
+/// first; cross-numeric-type comparison promotes to double; NaN equals NaN
+/// and sorts above every other number). SQL 3-valued logic is implemented
+/// by the SqlEq/SqlLt/... helpers which return std::nullopt for UNKNOWN.
 class Value {
  public:
   enum class Kind { kNull = 0, kBool, kInt, kDouble, kString };
@@ -47,7 +49,8 @@ class Value {
   }
 
   /// Total order used for sorting and container keys: NULL < BOOL < numeric
-  /// < STRING; numerics compare by value across int/double. Returns <0, 0, >0.
+  /// < STRING; numerics compare by value across int/double, with NaN equal
+  /// to NaN and above every other number (CompareDoubles). Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
   /// Exact equality under the total order (NULL == NULL here, unlike SQL).
@@ -55,7 +58,8 @@ class Value {
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
   /// Stable hash consistent with operator== (int 3 and double 3.0 collide,
-  /// as required since they compare equal).
+  /// as required since they compare equal; so do -0.0 and 0.0, and every
+  /// NaN). Built from the per-kind hashes below.
   size_t Hash() const;
 
   /// SQL literal rendering: NULL, TRUE, 42, 1.5, 'abc' (quotes escaped).
@@ -69,6 +73,47 @@ class Value {
 
 /// A tuple of values (one table/operator output row).
 using Row = std::vector<Value>;
+
+/// Three-way comparison of doubles as a total order, the rule PostgreSQL
+/// and DuckDB use: NaN equals NaN and sorts above every other number, and
+/// -0.0 equals 0.0.
+inline int CompareDoubles(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  if (a == b) return 0;
+  bool a_nan = std::isnan(a), b_nan = std::isnan(b);
+  return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
+}
+
+// The per-kind hashes behind Value::Hash, for callers that hash typed
+// arrays without building Values (the executor's key table).
+inline size_t HashNull() { return 0x9e3779b97f4a7c15ULL; }
+inline size_t HashBool(bool v) { return v ? 0x1234567 : 0x89abcde; }
+inline size_t HashDouble(double v) {
+  if (std::isnan(v)) return 0x7ff8dead;  // every NaN bit pattern alike
+  if (v == 0.0) v = 0.0;                  // -0.0 hashes as 0.0
+  return std::hash<double>()(v);
+}
+inline size_t HashInt(int64_t v) {
+  // Hash through double so that equal int/double values collide. Values
+  // near INT64_MAX round up to 2^63, which does not fit back into int64_t
+  // (the cast would be undefined), so test the range first.
+  double d = static_cast<double>(v);
+  if (d < 9223372036854775808.0 && static_cast<int64_t>(d) == v) {
+    return HashDouble(d);
+  }
+  return std::hash<int64_t>()(v);
+}
+inline size_t HashString(const std::string& v) {
+  return std::hash<std::string>()(v);
+}
+
+/// Folds one element hash into a running row hash (RowHash's combiner).
+inline size_t CombineRowHash(size_t h, size_t element) {
+  return h ^ (element + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+/// Seed of a row hash; a zero-width row hashes to it.
+constexpr size_t kRowHashSeed = 0x51ed270b;
 
 /// SQL 3-valued comparison: nullopt if either side is NULL.
 std::optional<bool> SqlEq(const Value& a, const Value& b);

@@ -1392,6 +1392,7 @@ Result<ExecResult> Database::ExecuteInsert(const sql::InsertStmt& stmt,
 
   UpdateAuthorizer authorizer(catalog_, ctx);
   std::vector<Row> pending;
+  std::set<Row> pending_keys;  // primary keys of this statement's rows
   for (const std::vector<sql::ExprPtr>& value_row : stmt.rows) {
     if (value_row.size() != targets.size()) {
       return Status::BindError("INSERT value count mismatch");
@@ -1418,6 +1419,13 @@ Result<ExecResult> Database::ExecuteInsert(const sql::InsertStmt& stmt,
     }
     FGAC_RETURN_NOT_OK(CheckRowConstraints(*schema, row));
     FGAC_RETURN_NOT_OK(CheckForeignKeys(stmt.table, row));
+    // CheckRowConstraints sees only the stored rows; two rows of this
+    // statement must not share a key either.
+    if (schema->has_primary_key() &&
+        !pending_keys.insert(KeyOf(row, schema->primary_key())).second) {
+      return Status::ConstraintViolation("duplicate primary key in '" +
+                                         schema->name() + "'");
+    }
     pending.push_back(std::move(row));
   }
 

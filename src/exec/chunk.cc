@@ -241,7 +241,9 @@ void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
 
 void ColumnVector::AppendSelected(const ColumnVector& src,
                                   const Selection& sel) {
-  Reserve(size() + sel.size());
+  if (valid_.capacity() < size() + sel.size()) {
+    Reserve(std::max(size() + sel.size(), 2 * size()));
+  }
   // Tight typed loops for the common fully-valid case; the generic path
   // handles NULLs and mixed columns.
   if (src.null_count_ == 0 &&
@@ -456,10 +458,10 @@ int CompareAt(const ColumnVector& a, size_t i, const ColumnVector& b,
   }
   if ((ta == Tag::kInt || ta == Tag::kDouble) &&
       (tb == Tag::kInt || tb == Tag::kDouble)) {
-    // Mirrors Value::Compare numeric promotion.
+    // Mirrors Value::Compare numeric promotion and its NaN rule.
     double x = ta == Tag::kInt ? static_cast<double>(a.IntAt(i)) : a.DoubleAt(i);
     double y = tb == Tag::kInt ? static_cast<double>(b.IntAt(j)) : b.DoubleAt(j);
-    return x == y ? 0 : (x < y ? -1 : 1);
+    return CompareDoubles(x, y);
   }
   if (ta == Tag::kString && tb == Tag::kString) {
     int c = a.StringAt(i).compare(b.StringAt(j));

@@ -56,6 +56,8 @@ class ColumnVector {
   /// Appends element i of src (typed copy when the tags line up).
   void AppendFrom(const ColumnVector& src, size_t i);
   /// Gather: appends src[sel[0]], src[sel[1]], ... column-at-a-time.
+  /// Storage grows geometrically, so gathering chunk after chunk into one
+  /// column (a hash-join build) does not reallocate on every call.
   void AppendSelected(const ColumnVector& src, const Selection& sel);
   /// Appends the contiguous range src[start, start + n) (bulk typed copy;
   /// the chunked table-scan hot path).
@@ -124,6 +126,7 @@ class DataChunk {
 
   ColumnVector& column(size_t i) { return cols_[i]; }
   const ColumnVector& column(size_t i) const { return cols_[i]; }
+  const std::vector<ColumnVector>& columns() const { return cols_; }
 
   void Reserve(size_t rows);
   void AppendRow(const Row& row);
@@ -139,7 +142,7 @@ class DataChunk {
   /// contain `rows` elements.
   void AdoptColumns(std::vector<ColumnVector> cols, size_t rows);
   /// Explicit row count for zero-column chunks (e.g. `SELECT 1` feeds a
-  /// one-row, zero-column VALUES).
+  /// one-row, zero-column VALUES), or after filling columns one by one.
   void SetCardinality(size_t rows) { size_ = rows; }
 
   /// Materializes row i (copies string payloads).

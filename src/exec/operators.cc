@@ -1,7 +1,7 @@
 #include "exec/operators.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -139,37 +139,62 @@ Result<bool> NestedLoopJoinOp::Next(DataChunk& out) {
   }
 }
 
+namespace {
+
+bool AnyNullAt(const std::vector<ColumnVector>& cols, size_t i) {
+  for (const ColumnVector& c : cols) {
+    if (c.IsNull(i)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 Status HashJoinTable::BuildFrom(Operator& build,
-                                const std::vector<ScalarPtr>& keys,
+                                const std::vector<ScalarPtr>& key_exprs,
                                 common::QueryGuard* guard) {
-  map.clear();
-  build_width = 0;
+  keys.Clear();
+  columns.clear();
+  head.clear();
+  next.clear();
+  std::vector<uint32_t> tail;  // per key id: its last build row so far
   DataChunk chunk;
   Selection id;
-  std::vector<ColumnVector> key_cols(keys.size());
+  Selection kept;
+  std::vector<ColumnVector> key_cols(key_exprs.size());
   while (true) {
     FGAC_FAULT_POINT("exec.hash_join.build");
     FGAC_RETURN_NOT_OK(common::GuardCheck(guard));
     Result<bool> more = build.Next(chunk);
     if (!more.ok()) return more.status();
     if (!more.value()) break;
-    build_width = chunk.num_columns();
+    columns.resize(chunk.num_columns());
     FGAC_RETURN_NOT_OK(common::GuardChargeBytes(
-        guard, chunk.size() * common::ApproxRowBytes(build_width)));
+        guard, chunk.size() * common::ApproxRowBytes(columns.size())));
     IdentitySelection(chunk.size(), &id);
-    for (size_t k = 0; k < keys.size(); ++k) {
-      FGAC_RETURN_NOT_OK(EvalScalarBatch(keys[k], chunk, id, &key_cols[k]));
+    for (size_t k = 0; k < key_exprs.size(); ++k) {
+      FGAC_RETURN_NOT_OK(
+          EvalScalarBatch(key_exprs[k], chunk, id, &key_cols[k]));
     }
+    kept.clear();
     for (size_t i = 0; i < chunk.size(); ++i) {
-      bool has_null = false;
-      for (const ColumnVector& c : key_cols) {
-        if (c.IsNull(i)) has_null = true;
+      if (AnyNullAt(key_cols, i)) continue;  // NULL keys never match.
+      auto row = static_cast<uint32_t>(next.size());
+      bool inserted = false;
+      uint32_t key = keys.FindOrInsert(key_cols, i, HashKeyRow(key_cols, i),
+                                       &inserted);
+      if (inserted) {
+        head.push_back(row);
+        tail.push_back(row);
+      } else {
+        next[tail[key]] = row;
+        tail[key] = row;
       }
-      if (has_null) continue;  // NULL keys never match in an equi-join.
-      Row key;
-      key.reserve(key_cols.size());
-      for (const ColumnVector& c : key_cols) key.push_back(c.GetValue(i));
-      map[std::move(key)].push_back(chunk.GetRow(i));
+      next.push_back(kEnd);
+      kept.push_back(static_cast<uint32_t>(i));
+    }
+    for (size_t c = 0; c < columns.size(); ++c) {
+      columns[c].AppendSelected(chunk.column(c), kept);
     }
   }
   return Status::OK();
@@ -185,7 +210,6 @@ Result<bool> HashProbeCursor::Next(Operator& left,
                                    const std::vector<ScalarPtr>& left_keys,
                                    const std::vector<ScalarPtr>& residual,
                                    const HashJoinTable& table, DataChunk& out) {
-  Row key;
   while (true) {
     if (left_pos_ >= left_chunk_.size()) {
       FGAC_ASSIGN_OR_RETURN(bool more, left.Next(left_chunk_));
@@ -198,21 +222,34 @@ Result<bool> HashProbeCursor::Next(Operator& left,
                                            &left_key_cols_[k]));
       }
     }
-    scratch_.Reset(left_chunk_.num_columns() + table.build_width);
-    while (left_pos_ < left_chunk_.size() && !scratch_.full()) {
+    // Collect (probe row, build row) pairs until the block is full; one
+    // probe row's whole chain goes in, so a block may briefly overshoot.
+    probe_sel_.clear();
+    build_sel_.clear();
+    while (left_pos_ < left_chunk_.size() &&
+           build_sel_.size() < DataChunk::kDefaultCapacity) {
       size_t i = left_pos_++;
-      bool has_null = false;
-      for (const ColumnVector& c : left_key_cols_) {
-        if (c.IsNull(i)) has_null = true;
+      if (AnyNullAt(left_key_cols_, i)) continue;
+      uint32_t key =
+          table.keys.Find(left_key_cols_, i, HashKeyRow(left_key_cols_, i));
+      if (key == KeyTable::kNotFound) continue;
+      for (uint32_t r = table.head[key]; r != HashJoinTable::kEnd;
+           r = table.next[r]) {
+        probe_sel_.push_back(static_cast<uint32_t>(i));
+        build_sel_.push_back(r);
       }
-      if (has_null) continue;
-      key.clear();
-      for (const ColumnVector& c : left_key_cols_) key.push_back(c.GetValue(i));
-      auto it = table.map.find(key);
-      if (it == table.map.end()) continue;
-      for (const Row& r : it->second) scratch_.AppendConcat(left_chunk_, i, r);
     }
-    if (scratch_.empty()) continue;
+    if (build_sel_.empty()) continue;
+    size_t left_width = left_chunk_.num_columns();
+    scratch_.Reset(left_width + table.columns.size());
+    for (size_t c = 0; c < left_width; ++c) {
+      scratch_.column(c).AppendSelected(left_chunk_.column(c), probe_sel_);
+    }
+    for (size_t c = 0; c < table.columns.size(); ++c) {
+      scratch_.column(left_width + c)
+          .AppendSelected(table.columns[c], build_sel_);
+    }
+    scratch_.SetCardinality(build_sel_.size());
     if (residual.empty()) {
       std::swap(out, scratch_);
       return true;
@@ -240,17 +277,28 @@ Result<bool> HashJoinOp::Next(DataChunk& out) {
   return more;
 }
 
+Status AggGroups::Merge(AggGroups other, size_t num_aggs) {
+  const std::vector<ColumnVector>& keys = other.groups.keys();
+  for (uint32_t id = 0; id < other.size(); ++id) {
+    bool inserted = false;
+    uint32_t g =
+        groups.FindOrInsert(keys, id, other.groups.hash(id), &inserted);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      AggAccumulator& theirs = other.accs[id * num_aggs + a];
+      if (inserted) {
+        accs.push_back(std::move(theirs));
+      } else {
+        FGAC_RETURN_NOT_OK(accs[g * num_aggs + a].Merge(theirs));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Status AccumulateGroups(Operator& child,
                         const std::vector<ScalarPtr>& group_by,
                         const std::vector<algebra::AggExpr>& aggs,
                         AggGroups* groups, common::QueryGuard* guard) {
-  auto make_accumulators = [&aggs]() {
-    std::vector<AggAccumulator> accs;
-    accs.reserve(aggs.size());
-    for (const algebra::AggExpr& a : aggs) accs.emplace_back(a);
-    return accs;
-  };
-
   DataChunk chunk;
   Selection id;
   std::vector<ColumnVector> group_cols(group_by.size());
@@ -272,18 +320,17 @@ Status AccumulateGroups(Operator& child,
     FGAC_RETURN_NOT_OK(common::GuardCheck(guard));
     size_t new_groups = 0;
     for (size_t i = 0; i < chunk.size(); ++i) {
-      Row key;
-      key.reserve(group_by.size());
-      for (const ColumnVector& g : group_cols) key.push_back(g.GetValue(i));
-      auto it = groups->find(key);
-      if (it == groups->end()) {
-        it = groups->emplace(std::move(key), make_accumulators()).first;
+      bool inserted = false;
+      uint32_t g = groups->groups.FindOrInsert(
+          group_cols, i, HashKeyRow(group_cols, i), &inserted);
+      if (inserted) {
+        for (const algebra::AggExpr& a : aggs) groups->accs.emplace_back(a);
         ++new_groups;
       }
       for (size_t a = 0; a < aggs.size(); ++a) {
         Value v = aggs[a].arg == nullptr ? Value::Null()
                                          : arg_cols[a].GetValue(i);
-        FGAC_RETURN_NOT_OK(it->second[a].AddValue(v));
+        FGAC_RETURN_NOT_OK(groups->accs[g * aggs.size() + a].AddValue(v));
       }
     }
     FGAC_RETURN_NOT_OK(common::GuardChargeBytes(
@@ -293,20 +340,38 @@ Status AccumulateGroups(Operator& child,
   return Status::OK();
 }
 
-std::vector<Row> FinishGroups(AggGroups groups,
+std::vector<Row> FinishGroups(const AggGroups& groups,
                               const std::vector<algebra::AggExpr>& aggs,
                               bool scalar_aggregate) {
-  if (groups.empty() && scalar_aggregate) {
-    std::vector<AggAccumulator> accs;
-    accs.reserve(aggs.size());
-    for (const algebra::AggExpr& a : aggs) accs.emplace_back(a);
-    groups.emplace(Row{}, std::move(accs));
-  }
   std::vector<Row> results;
-  results.reserve(groups.size());
-  for (const auto& [key, accs] : groups) {
-    Row out = key;
-    for (const AggAccumulator& acc : accs) out.push_back(acc.Finish());
+  if (groups.size() == 0) {
+    if (scalar_aggregate) {
+      Row out;
+      for (const algebra::AggExpr& a : aggs) {
+        out.push_back(AggAccumulator(a).Finish());
+      }
+      results.push_back(std::move(out));
+    }
+    return results;
+  }
+  const std::vector<ColumnVector>& keys = groups.groups.keys();
+  std::vector<uint32_t> order(groups.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&keys](uint32_t a, uint32_t b) {
+    for (const ColumnVector& c : keys) {
+      int cmp = CompareKeyAt(c, a, c, b);
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  });
+  results.reserve(order.size());
+  for (uint32_t g : order) {
+    Row out;
+    out.reserve(keys.size() + aggs.size());
+    for (const ColumnVector& c : keys) out.push_back(c.GetValue(g));
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      out.push_back(groups.accs[g * aggs.size() + a].Finish());
+    }
     results.push_back(std::move(out));
   }
   return results;
@@ -319,7 +384,7 @@ Status HashAggregateOp::Open() {
   AggGroups groups;
   FGAC_RETURN_NOT_OK(
       AccumulateGroups(*child_, group_by_, aggs_, &groups, guard_));
-  results_ = FinishGroups(std::move(groups), aggs_, group_by_.empty());
+  results_ = FinishGroups(groups, aggs_, group_by_.empty());
   return Status::OK();
 }
 
@@ -331,8 +396,17 @@ Result<bool> HashAggregateOp::Next(DataChunk& out) {
   return n > 0;
 }
 
+void SelectNewRows(const DataChunk& chunk, KeyTable* seen, Selection* sel) {
+  const std::vector<ColumnVector>& cols = chunk.columns();
+  for (size_t i = 0; i < chunk.size(); ++i) {
+    bool inserted = false;
+    seen->FindOrInsert(cols, i, HashKeyRow(cols, i), &inserted);
+    if (inserted) sel->push_back(static_cast<uint32_t>(i));
+  }
+}
+
 Status DistinctOp::Open() {
-  seen_.clear();
+  seen_.Clear();
   return child_->Open();
 }
 
@@ -341,12 +415,8 @@ Result<bool> DistinctOp::Next(DataChunk& out) {
     FGAC_ASSIGN_OR_RETURN(bool more, child_->Next(input_));
     if (!more) return Exhausted(out);
     sel_.clear();
-    for (size_t i = 0; i < input_.size(); ++i) {
-      if (seen_.insert(input_.GetRow(i)).second) {
-        sel_.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    // The seen-set grows by one materialized row per kept input row.
+    SelectNewRows(input_, &seen_, &sel_);
+    // The key table grows by one stored row per kept input row.
     FGAC_RETURN_NOT_OK(common::GuardChargeBytes(
         guard_, sel_.size() * common::ApproxRowBytes(input_.num_columns())));
     if (EmitSelected(input_, sel_, out)) return true;

@@ -1,11 +1,9 @@
 #ifndef FGAC_EXEC_OPERATORS_H_
 #define FGAC_EXEC_OPERATORS_H_
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "algebra/plan.h"
@@ -14,6 +12,7 @@
 #include "common/result.h"
 #include "common/value.h"
 #include "exec/chunk.h"
+#include "exec/key_table.h"
 
 namespace fgac::storage {
 class TableData;
@@ -143,19 +142,27 @@ class NestedLoopJoinOp final : public Operator {
   Selection sel_;
 };
 
-/// Materialized build side of a hash join: equi-key image -> matching build
-/// rows. Built once by draining the build input, then probed read-only —
-/// which is what lets the parallel executor share one build across several
-/// concurrent probe pipelines.
+/// Materialized build side of a hash join: a KeyTable over the distinct
+/// equi-keys, the build rows column-wise, and per key a chain of its rows
+/// in build order. Built once by draining the build input, then probed
+/// read-only — which is what lets the parallel executor share one build
+/// across several concurrent probe pipelines.
 struct HashJoinTable {
-  std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> map;
-  size_t build_width = 0;
+  static constexpr uint32_t kEnd = UINT32_MAX;
 
-  /// Drains `build` (already Open) into the table, evaluating `keys`
+  KeyTable keys;
+  std::vector<ColumnVector> columns;  // build rows, column-wise
+  std::vector<uint32_t> head;  // per key id: its first build row
+  std::vector<uint32_t> next;  // per build row: next row of its key, or kEnd
+
+  size_t num_rows() const { return next.size(); }
+
+  /// Drains `build` (already Open) into the table, evaluating `key_exprs`
   /// against each build chunk. Rows with a NULL key are skipped (NULL keys
   /// never match in an equi-join). `guard` (may be null) is charged for
   /// the materialized build rows.
-  Status BuildFrom(Operator& build, const std::vector<algebra::ScalarPtr>& keys,
+  Status BuildFrom(Operator& build,
+                   const std::vector<algebra::ScalarPtr>& key_exprs,
                    common::QueryGuard* guard = nullptr);
 };
 
@@ -166,7 +173,8 @@ class HashProbeCursor {
   void Reset();
   /// Pulls probe chunks from `left`, joins them against `table`, applies
   /// `residual` to the concatenated rows, and fills `out` with the next
-  /// batch of matches. Same contract as Operator::Next.
+  /// batch of matches. Same contract as Operator::Next. Matches come out in
+  /// probe order, and per probe row in build order.
   Result<bool> Next(Operator& left,
                     const std::vector<algebra::ScalarPtr>& left_keys,
                     const std::vector<algebra::ScalarPtr>& residual,
@@ -176,6 +184,9 @@ class HashProbeCursor {
   DataChunk left_chunk_;
   std::vector<ColumnVector> left_key_cols_;  // keys of left_chunk_, batched
   size_t left_pos_ = 0;  // next probe row
+  // One block of (probe row, build row) pairs, gathered column-at-a-time.
+  Selection probe_sel_;
+  Selection build_sel_;
   DataChunk scratch_;
   Selection sel_;
 };
@@ -206,9 +217,18 @@ class HashJoinOp final : public Operator {
   HashProbeCursor probe_;
 };
 
-/// Aggregation groups keyed by the group-by value image. An ordered map
-/// keeps output deterministic across runs and thread counts.
-using AggGroups = std::map<Row, std::vector<algebra::AggAccumulator>>;
+/// Aggregation state: a KeyTable over the group-by values, and one
+/// accumulator per (group id, aggregate), group-major. Shared by
+/// HashAggregateOp and the pipelined executor's per-task partials.
+struct AggGroups {
+  KeyTable groups;
+  std::vector<algebra::AggAccumulator> accs;
+
+  size_t size() const { return groups.size(); }
+  /// Folds `other`, a partial over the same `num_aggs` aggregates, into
+  /// this state; its groups are found again by their stored hashes.
+  Status Merge(AggGroups other, size_t num_aggs);
+};
 
 /// Drains `child` (already Open), accumulating every row into `groups`.
 /// Shared by HashAggregateOp and the parallel executor's per-thread partial
@@ -220,9 +240,10 @@ Status AccumulateGroups(Operator& child,
                         common::QueryGuard* guard = nullptr);
 
 /// Renders accumulated groups to output rows (group key columns, then one
-/// column per aggregate). Adds the global empty group for scalar aggregates
-/// over empty input.
-std::vector<Row> FinishGroups(AggGroups groups,
+/// column per aggregate), sorted by key (NULL first, then CompareAt) so
+/// output is deterministic across runs and thread counts. Adds the global
+/// empty group for scalar aggregates over empty input.
+std::vector<Row> FinishGroups(const AggGroups& groups,
                               const std::vector<algebra::AggExpr>& aggs,
                               bool scalar_aggregate);
 
@@ -245,6 +266,10 @@ class HashAggregateOp final : public Operator {
   size_t pos_ = 0;
 };
 
+/// Appends to `sel` the rows of `chunk` whose values `seen` has not held
+/// yet, inserting them (DISTINCT over all columns, first occurrence kept).
+void SelectNewRows(const DataChunk& chunk, KeyTable* seen, Selection* sel);
+
 class DistinctOp final : public Operator {
  public:
   explicit DistinctOp(OperatorPtr child) : child_(std::move(child)) {}
@@ -253,7 +278,7 @@ class DistinctOp final : public Operator {
 
  private:
   OperatorPtr child_;
-  std::unordered_set<Row, RowHash, RowEq> seen_;
+  KeyTable seen_;
   DataChunk input_;
   Selection sel_;
 };

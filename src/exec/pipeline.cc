@@ -9,7 +9,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -382,11 +381,8 @@ Status AddFragments(const PlanPtr& plan, const storage::DatabaseState& state,
           FGAC_RETURN_NOT_OK(build->Open());
           FGAC_RETURN_NOT_OK(
               stage->table.BuildFrom(*build, stage->keys.right_keys, guard));
-          uint64_t built = 0;
-          for (const auto& [key, rows] : stage->table.map) {
-            built += rows.size();
-          }
-          meter->rows.fetch_add(built, std::memory_order_relaxed);
+          meter->rows.fetch_add(stage->table.num_rows(),
+                                std::memory_order_relaxed);
           meter->nanos.fetch_add(ElapsedNanos(t0), std::memory_order_relaxed);
           return Status::OK();
         }},
@@ -461,29 +457,31 @@ Status AddFragments(const PlanPtr& plan, const storage::DatabaseState& state,
           case FragMode::kAggregate: {
             AggGroups merged = std::move(frag->partials[0]);
             for (size_t t = 1; t < num_threads; ++t) {
-              for (auto& [key, accs] : frag->partials[t]) {
-                auto it = merged.find(key);
-                if (it == merged.end()) {
-                  merged.emplace(key, std::move(accs));
-                } else {
-                  for (size_t a = 0; a < accs.size(); ++a) {
-                    FGAC_RETURN_NOT_OK(it->second[a].Merge(accs[a]));
-                  }
-                }
-              }
+              FGAC_RETURN_NOT_OK(merged.Merge(std::move(frag->partials[t]),
+                                              frag->root->aggs.size()));
             }
-            out.mutable_rows() =
-                FinishGroups(std::move(merged), frag->root->aggs,
-                             frag->root->group_by.empty());
+            out.mutable_rows() = FinishGroups(merged, frag->root->aggs,
+                                              frag->root->group_by.empty());
             break;
           }
           case FragMode::kDistinct: {
-            std::unordered_set<Row, RowHash, RowEq> seen;
+            // Duplicates that appeared on different tasks meet in one key
+            // table, fed the per-task rows a chunk at a time.
+            KeyTable seen;
+            DataChunk chunk;
+            Selection fresh;
             for (std::vector<Row>& rows : frag->per_task) {
-              for (Row& r : rows) {
-                if (seen.insert(r).second) {
-                  out.mutable_rows().push_back(std::move(r));
+              size_t start = 0;
+              while (start < rows.size()) {
+                chunk.Reset(rows[start].size());
+                size_t n = AppendRowsToChunk(
+                    rows, start, DataChunk::kDefaultCapacity, &chunk);
+                fresh.clear();
+                SelectNewRows(chunk, &seen, &fresh);
+                for (uint32_t i : fresh) {
+                  out.mutable_rows().push_back(std::move(rows[start + i]));
                 }
+                start += n;
               }
             }
             break;

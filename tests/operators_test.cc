@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "algebra/reference_eval.h"
 #include "exec/eval.h"
+#include "storage/database_state.h"
 
 namespace fgac::exec {
 namespace {
@@ -225,6 +230,190 @@ TEST(OperatorsTest, UnionAllConcatenates) {
   children.push_back(std::make_unique<ScanOp>(&b));
   UnionAllOp u(std::move(children));
   EXPECT_EQ(Drain(&u).size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// The key table behind GROUP BY, DISTINCT and the hash join: each case runs
+// the three operators over VALUES inputs and compares them, row for row
+// and in order, with the reference evaluator. GROUP BY output is sorted by
+// key, DISTINCT keeps first occurrences, and a join emits probe order x
+// build order.
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> Render(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const Row& r : rows) out.push_back(RowToString(r));
+  return out;
+}
+
+std::vector<Row> Reference(const algebra::PlanPtr& plan) {
+  storage::DatabaseState empty;
+  auto rel = algebra::ReferenceEval(plan, empty);
+  EXPECT_TRUE(rel.ok()) << rel.status().ToString();
+  return rel.ok() ? rel.value().rows() : std::vector<Row>{};
+}
+
+const std::vector<algebra::AggExpr>& CountStar() {
+  static const std::vector<algebra::AggExpr> aggs = {
+      {algebra::AggFunc::kCountStar, nullptr, false}};
+  return aggs;
+}
+
+// GROUP BY column 0 with count(*), against the reference.
+std::vector<Row> ExpectGroupByMatchesReference(const std::vector<Row>& rows,
+                                               size_t arity) {
+  HashAggregateOp agg({MakeColumn(0)}, CountStar(),
+                      std::make_unique<ValuesOp>(rows));
+  std::vector<Row> out = Drain(&agg);
+  algebra::PlanPtr in = algebra::MakeValues(rows, arity);
+  algebra::PlanPtr plan =
+      algebra::MakeAggregate({MakeColumn(0)}, CountStar(), {"k", "n"}, in);
+  EXPECT_EQ(Render(out), Render(Reference(plan)));
+  return out;
+}
+
+// DISTINCT over every column, against the reference.
+std::vector<Row> ExpectDistinctMatchesReference(const std::vector<Row>& rows,
+                                                size_t arity) {
+  DistinctOp distinct(std::make_unique<ValuesOp>(rows));
+  std::vector<Row> out = Drain(&distinct);
+  algebra::PlanPtr in = algebra::MakeValues(rows, arity);
+  EXPECT_EQ(Render(out), Render(Reference(algebra::MakeDistinct(in))));
+  return out;
+}
+
+// left JOIN right ON left.0 = right.0, against the reference.
+std::vector<Row> ExpectJoinMatchesReference(const std::vector<Row>& left,
+                                            const std::vector<Row>& right,
+                                            size_t arity) {
+  HashJoinOp join({MakeColumn(0)}, {MakeColumn(0)}, {},
+                  std::make_unique<ValuesOp>(left),
+                  std::make_unique<ValuesOp>(right));
+  std::vector<Row> out = Drain(&join);
+  ScalarPtr on = MakeBinaryScalar(sql::BinOp::kEq, MakeColumn(0),
+                                  MakeColumn(static_cast<int>(arity)));
+  algebra::PlanPtr l = algebra::MakeValues(left, arity);
+  algebra::PlanPtr r = algebra::MakeValues(right, arity);
+  EXPECT_EQ(Render(out), Render(Reference(algebra::MakeJoin({on}, l, r))));
+  return out;
+}
+
+TEST(KeyTableTest, IntAndDoubleKeysAreOneKey) {
+  // One generic column holding both kinds.
+  std::vector<Row> mixed = {{Value::Int(3)}, {Value::Double(3.0)},
+                            {Value::Int(4)}};
+  std::vector<Row> groups = ExpectGroupByMatchesReference(mixed, 1);
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0][1], Value::Int(2));
+  EXPECT_EQ(ExpectDistinctMatchesReference(mixed, 1).size(), 2u);
+  EXPECT_EQ(ExpectJoinMatchesReference(mixed, mixed, 1).size(), 5u);
+
+  // Typed columns: an int probe column meets a double build column, and a
+  // GROUP BY whose first chunk is ints and second chunk doubles.
+  std::vector<Row> ints = {{Value::Int(3)}, {Value::Int(5)}};
+  std::vector<Row> doubles = {{Value::Double(3.0)}, {Value::Double(4.0)}};
+  EXPECT_EQ(ExpectJoinMatchesReference(ints, doubles, 1).size(), 1u);
+  const int64_t capacity = DataChunk::kDefaultCapacity;
+  std::vector<Row> chunked;
+  for (int64_t i = 0; i < 2 * capacity; ++i) {
+    double d = static_cast<double>(i % 10);
+    chunked.push_back({i < capacity ? Value::Int(i % 10) : Value::Double(d)});
+  }
+  EXPECT_EQ(ExpectGroupByMatchesReference(chunked, 1).size(), 10u);
+  EXPECT_EQ(ExpectDistinctMatchesReference(chunked, 1).size(), 10u);
+}
+
+TEST(KeyTableTest, NegativeZeroEqualsZero) {
+  std::vector<Row> rows = {{Value::Double(-0.0)}, {Value::Double(0.0)}};
+  std::vector<Row> groups = ExpectGroupByMatchesReference(rows, 1);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0][1], Value::Int(2));
+  EXPECT_EQ(ExpectDistinctMatchesReference(rows, 1).size(), 1u);
+  EXPECT_EQ(ExpectJoinMatchesReference(rows, rows, 1).size(), 4u);
+}
+
+TEST(KeyTableTest, NullKeysGroupFirstAndNeverJoin) {
+  std::vector<Row> rows = {{Value::Int(2), Value::Int(0)},
+                           {Value::Null(), Value::Int(1)},
+                           {Value::Int(1), Value::Int(2)},
+                           {Value::Null(), Value::Int(3)}};
+  std::vector<Row> groups = ExpectGroupByMatchesReference(rows, 2);
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_TRUE(groups[0][0].is_null());
+  EXPECT_EQ(groups[0][1], Value::Int(2));
+
+  std::vector<Row> keys = {{Value::Int(2)}, {Value::Null()}, {Value::Int(1)},
+                           {Value::Null()}};
+  std::vector<Row> distinct = ExpectDistinctMatchesReference(keys, 1);
+  ASSERT_EQ(distinct.size(), 3u);
+  EXPECT_TRUE(distinct[1][0].is_null());
+
+  std::vector<Row> joined = ExpectJoinMatchesReference(rows, rows, 2);
+  ASSERT_EQ(joined.size(), 2u);
+  for (const Row& r : joined) EXPECT_FALSE(r[0].is_null());
+}
+
+TEST(KeyTableTest, GenericColumnMixingKinds) {
+  const std::vector<Value> kinds = {Value::Int(1), Value::String("a"),
+                                    Value::Bool(true), Value::Bool(false),
+                                    Value::Null()};
+  std::vector<Row> rows;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Value& v : kinds) rows.push_back({v});
+  }
+  rows.push_back({Value::Double(1.0)});  // the same key as Int(1)
+  rows.push_back({Value::String("1")});
+  EXPECT_EQ(ExpectGroupByMatchesReference(rows, 1).size(), 6u);
+  EXPECT_EQ(ExpectDistinctMatchesReference(rows, 1).size(), 6u);
+  ExpectJoinMatchesReference(rows, rows, 1);
+}
+
+TEST(KeyTableTest, ManyDistinctKeysGrowTheTable) {
+  constexpr int64_t kKeys = 100000;
+  std::vector<Row> rows;
+  rows.reserve(kKeys);
+  // A permutation of 0..kKeys-1 (7919 is prime, coprime to kKeys).
+  for (int64_t i = 0; i < kKeys; ++i) {
+    rows.push_back({Value::Int(i * 7919 % kKeys), Value::Int(i)});
+  }
+  std::vector<Row> groups = ExpectGroupByMatchesReference(rows, 2);
+  ASSERT_EQ(groups.size(), static_cast<size_t>(kKeys));
+  EXPECT_EQ(groups.back()[0], Value::Int(kKeys - 1));
+  EXPECT_EQ(ExpectDistinctMatchesReference(rows, 2).size(),
+            static_cast<size_t>(kKeys));
+  // The reference join is quadratic, so check this one directly: every
+  // probe row meets exactly its own build row, in probe order.
+  HashJoinOp join({MakeColumn(0)}, {MakeColumn(0)}, {},
+                  std::make_unique<ValuesOp>(rows),
+                  std::make_unique<ValuesOp>(rows));
+  std::vector<Row> joined = Drain(&join);
+  ASSERT_EQ(joined.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(joined[i],
+              (Row{rows[i][0], rows[i][1], rows[i][0], rows[i][1]}))
+        << "row " << i;
+  }
+}
+
+TEST(KeyTableTest, GroupByWithoutAggregatesListsSortedKeys) {
+  std::vector<Row> rows = {R({2}), R({1}), R({2})};
+  HashAggregateOp agg({MakeColumn(0)}, {}, std::make_unique<ValuesOp>(rows));
+  std::vector<Row> out = Drain(&agg);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0], R({1}));
+  EXPECT_EQ(out[1], R({2}));
+}
+
+TEST(KeyTableTest, DuplicateBuildKeysKeepProbeTimesBuildOrder) {
+  std::vector<Row> left = {R({7, 0}), R({8, 1}), R({7, 2})};
+  std::vector<Row> right = {R({7, 10}), R({8, 11}), R({7, 12}), R({7, 13})};
+  std::vector<Row> joined = ExpectJoinMatchesReference(left, right, 2);
+  ASSERT_EQ(joined.size(), 7u);
+  EXPECT_EQ(joined[0], R({7, 0, 7, 10}));
+  EXPECT_EQ(joined[1], R({7, 0, 7, 12}));
+  EXPECT_EQ(joined[2], R({7, 0, 7, 13}));
+  EXPECT_EQ(joined[3], R({8, 1, 8, 11}));
 }
 
 TEST(SplitJoinKeysTest, ClassifiesConjuncts) {

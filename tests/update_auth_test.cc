@@ -234,6 +234,27 @@ TEST_F(DmlConstraintTest, VerifyConstraintsDetectsViolation) {
   EXPECT_EQ(s.code(), StatusCode::kConstraintViolation);
 }
 
+// A multi-row INSERT is checked against its own earlier rows as well as the
+// stored ones, and refused before any of its rows is applied.
+TEST(InsertKeyTest, MultiRowInsertRepeatingAKeyIsRefused) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteAsAdmin("create table p (k varchar not null primary "
+                                "key, v varchar not null)")
+                  .ok());
+  auto dup = db.ExecuteAsAdmin("insert into p values ('x', '1'), ('x', '2')");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.status().code(), StatusCode::kConstraintViolation);
+  EXPECT_EQ(
+      fgac::testing::MustQueryAdmin(&db, "select count(*) from p").rows()[0][0],
+      Value::Int(0));
+
+  auto distinct =
+      db.ExecuteAsAdmin("insert into p values ('x', '1'), ('y', '2')");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  EXPECT_EQ(distinct.value().affected_rows, 2);
+  EXPECT_TRUE(db.VerifyConstraints().ok());
+}
+
 // UPDATE and DELETE keep keys unique and foreign keys satisfied: U3 and the
 // keyed-middle decomposition are sound only while both hold.
 class WriteKeyTest : public ::testing::Test {

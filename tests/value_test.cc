@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <limits>
+#include <vector>
 
 namespace fgac {
 namespace {
@@ -32,6 +35,44 @@ TEST(ValueTest, NumericCrossTypeComparison) {
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Int(3).Hash(), Value::Double(3.0).Hash());
   EXPECT_EQ(Value::String("x").Hash(), Value::String("x").Hash());
+}
+
+// Compare must be a total order, NaN included, or sorted containers and
+// ORDER BY misbehave: NaN equals NaN and sorts above every other number.
+TEST(ValueTest, CompareIsATotalOrderOverSpecialDoubles) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Value> values;
+  for (double d : {-inf, -0.0, 0.0, nan, inf}) {
+    values.push_back(Value::Double(d));
+  }
+  values.push_back(Value::Int(1));
+  // Other NaN bit patterns: the sign-bit NaN x86 yields for inf - inf, and
+  // a signaling NaN with a payload.
+  values.push_back(Value::Double(-nan));
+  values.push_back(
+      Value::Double(std::bit_cast<double>(uint64_t{0x7ff0000000000001})));
+  auto sign = [](int c) { return (c > 0) - (c < 0); };
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      EXPECT_EQ(sign(a.Compare(b)), -sign(b.Compare(a)))
+          << a.ToString() << " vs " << b.ToString();
+      if (a.Compare(b) == 0) {
+        EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " vs " << b.ToString();
+      }
+      for (const Value& c : values) {
+        if (a.Compare(b) <= 0 && b.Compare(c) <= 0) {
+          EXPECT_LE(a.Compare(c), 0) << a.ToString() << " <= " << b.ToString()
+                                     << " <= " << c.ToString();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Value::Double(nan).Compare(Value::Double(-nan)), 0);
+  EXPECT_GT(Value::Double(nan).Compare(Value::Double(inf)), 0);
+  EXPECT_GT(Value::Double(nan).Compare(Value::Int(1)), 0);
+  EXPECT_EQ(Value::Double(-0.0).Compare(Value::Double(0.0)), 0);
+  EXPECT_EQ(SqlEq(Value::Double(nan), Value::Double(nan)), true);
 }
 
 TEST(ValueTest, HashOfInt64Extremes) {
