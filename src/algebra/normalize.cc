@@ -64,6 +64,8 @@ sql::BinOp NegateComparison(sql::BinOp op) {
   }
 }
 
+}  // namespace
+
 bool IsComparison(sql::BinOp op) {
   switch (op) {
     case sql::BinOp::kEq:
@@ -77,8 +79,6 @@ bool IsComparison(sql::BinOp op) {
       return false;
   }
 }
-
-}  // namespace
 
 ScalarPtr NormalizeScalar(const ScalarPtr& s) {
   if (s == nullptr) return nullptr;
@@ -164,8 +164,6 @@ ScalarPtr NormalizeScalar(const ScalarPtr& s) {
   return s;
 }
 
-namespace {
-
 void FlattenAnd(const ScalarPtr& s, std::vector<ScalarPtr>* out) {
   if (s == nullptr) return;
   if (s->kind == ScalarKind::kBinary && s->bin_op == sql::BinOp::kAnd) {
@@ -175,6 +173,8 @@ void FlattenAnd(const ScalarPtr& s, std::vector<ScalarPtr>* out) {
   }
   out->push_back(s);
 }
+
+namespace {
 
 void SortDedup(std::vector<ScalarPtr>* preds) {
   std::sort(preds->begin(), preds->end(),

@@ -17,6 +17,13 @@ namespace fgac::algebra {
 ///  * double negation is removed, NOT is pushed over comparisons.
 ScalarPtr NormalizeScalar(const ScalarPtr& s);
 
+/// True for =, <>, <, <=, > and >=.
+bool IsComparison(sql::BinOp op);
+
+/// Appends the conjuncts of `s`'s AND tree to `out` left to right, neither
+/// normalized nor deduplicated. A null scalar appends none.
+void FlattenAnd(const ScalarPtr& s, std::vector<ScalarPtr>* out);
+
 /// Flattens the AND-tree of `s` into normalized conjuncts, sorted by
 /// fingerprint and deduplicated. A null scalar yields an empty list.
 std::vector<ScalarPtr> SplitConjuncts(const ScalarPtr& s);

@@ -1176,11 +1176,13 @@ namespace {
 
 /// Ascending indices of the rows of `data` that satisfy `where` (every row
 /// when it is null), found chunk by chunk with the executor's batched
-/// filter, so UPDATE and DELETE evaluate WHERE exactly as a SELECT does.
+/// filter, so UPDATE and DELETE find their rows as a SELECT does. The
+/// bound WHERE's conjuncts run left to right, each only on the rows every
+/// earlier one kept (DESIGN §6).
 Result<std::vector<size_t>> MatchingRows(const storage::TableData& data,
                                          const algebra::ScalarPtr& where) {
   std::vector<algebra::ScalarPtr> predicates;
-  if (where != nullptr) predicates.push_back(where);
+  algebra::FlattenAnd(where, &predicates);
   std::vector<size_t> out;
   exec::DataChunk chunk;
   exec::Selection sel;

@@ -453,23 +453,19 @@ int CompareAt(const ColumnVector& a, size_t i, const ColumnVector& b,
   using Tag = ColumnVector::Tag;
   Tag ta = a.tag(), tb = b.tag();
   if (ta == Tag::kInt && tb == Tag::kInt) {
-    int64_t x = a.IntAt(i), y = b.IntAt(j);
-    return x == y ? 0 : (x < y ? -1 : 1);
+    return CompareTyped(a.IntAt(i), b.IntAt(j));
   }
   if ((ta == Tag::kInt || ta == Tag::kDouble) &&
       (tb == Tag::kInt || tb == Tag::kDouble)) {
-    // Mirrors Value::Compare numeric promotion and its NaN rule.
     double x = ta == Tag::kInt ? static_cast<double>(a.IntAt(i)) : a.DoubleAt(i);
     double y = tb == Tag::kInt ? static_cast<double>(b.IntAt(j)) : b.DoubleAt(j);
-    return CompareDoubles(x, y);
+    return CompareTyped(x, y);
   }
   if (ta == Tag::kString && tb == Tag::kString) {
-    int c = a.StringAt(i).compare(b.StringAt(j));
-    return c == 0 ? 0 : (c < 0 ? -1 : 1);
+    return CompareTyped(a.StringAt(i), b.StringAt(j));
   }
   if (ta == Tag::kBool && tb == Tag::kBool) {
-    bool x = a.BoolAt(i), y = b.BoolAt(j);
-    return x == y ? 0 : (x < y ? -1 : 1);
+    return CompareTyped(a.BoolAt(i), b.BoolAt(j));
   }
   // Mixed-kind or generic columns: rare enough to materialize.
   return a.GetValue(i).Compare(b.GetValue(j));

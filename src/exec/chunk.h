@@ -100,6 +100,19 @@ class ColumnVector {
   std::vector<Value> generic_;
 };
 
+/// The typed part of Value's total order, three-way (<0, 0, >0): ints
+/// compare exactly, doubles by CompareDoubles (an int meeting a double is
+/// widened to double first, as Value::Compare widens it), strings by
+/// std::string::compare and false before true. CompareAt and the in-place
+/// filter (exec/eval.cc) both order typed elements through these.
+inline int CompareTyped(int64_t x, int64_t y) { return (x > y) - (x < y); }
+inline int CompareTyped(double x, double y) { return CompareDoubles(x, y); }
+inline int CompareTyped(const std::string& x, const std::string& y) {
+  int c = x.compare(y);
+  return (c > 0) - (c < 0);
+}
+inline int CompareTyped(bool x, bool y) { return (x > y) - (x < y); }
+
 /// Value-total-order comparison of a[i] vs b[j]; both elements must be
 /// non-NULL. Same-tag typed columns compare without materializing Values.
 int CompareAt(const ColumnVector& a, size_t i, const ColumnVector& b,

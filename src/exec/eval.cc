@@ -1,6 +1,9 @@
 #include "exec/eval.h"
 
 #include <numeric>
+#include <utility>
+
+#include "algebra/normalize.h"
 
 namespace fgac::exec {
 
@@ -57,16 +60,6 @@ Status CompareBatch(sql::BinOp op, const ColumnVector& l, const ColumnVector& r,
                     ColumnVector* out) {
   size_t n = l.size();
   out->Reserve(n);
-  using Tag = ColumnVector::Tag;
-  // Fully-valid typed pairs take a mask-free loop.
-  if (l.AllValid() && r.AllValid() && l.tag() == Tag::kInt &&
-      r.tag() == Tag::kInt) {
-    for (size_t i = 0; i < n; ++i) {
-      int64_t x = l.IntAt(i), y = r.IntAt(i);
-      out->AppendBool(PassesCompare(op, x == y ? 0 : (x < y ? -1 : 1)));
-    }
-    return Status::OK();
-  }
   for (size_t i = 0; i < n; ++i) {
     if (l.IsNull(i) || r.IsNull(i)) {
       out->AppendNull();
@@ -269,6 +262,122 @@ Status InListBatch(const ScalarPtr& s, const DataChunk& chunk,
   return Status::OK();
 }
 
+// ---------------------------------------------------------------------------
+// In-place filter: `column op literal`
+// ---------------------------------------------------------------------------
+
+/// Narrows `sel` in place to the rows whose element at(i) passes
+/// `at(i) kOp key`; a NULL element never passes. The selection is
+/// compacted as it is read, so the loop allocates nothing.
+template <sql::BinOp kOp, typename At, typename Key>
+void CompactCompare(const ColumnVector& col, At at, const Key& key,
+                    Selection* sel) {
+  uint32_t* s = sel->data();
+  size_t n = sel->size(), m = 0;
+  if (col.AllValid()) {
+    for (size_t k = 0; k < n; ++k) {
+      uint32_t i = s[k];
+      s[m] = i;
+      m += PassesCompare(kOp, CompareTyped(at(i), key));
+    }
+  } else {
+    for (size_t k = 0; k < n; ++k) {
+      uint32_t i = s[k];
+      s[m] = i;
+      m += col.IsValid(i) && PassesCompare(kOp, CompareTyped(at(i), key));
+    }
+  }
+  sel->resize(m);
+}
+
+template <typename At, typename Key>
+void CompareInPlace(sql::BinOp op, const ColumnVector& col, At at,
+                    const Key& key, Selection* sel) {
+  switch (op) {
+    case sql::BinOp::kEq:
+      return CompactCompare<sql::BinOp::kEq>(col, at, key, sel);
+    case sql::BinOp::kNe:
+      return CompactCompare<sql::BinOp::kNe>(col, at, key, sel);
+    case sql::BinOp::kLt:
+      return CompactCompare<sql::BinOp::kLt>(col, at, key, sel);
+    case sql::BinOp::kLe:
+      return CompactCompare<sql::BinOp::kLe>(col, at, key, sel);
+    case sql::BinOp::kGt:
+      return CompactCompare<sql::BinOp::kGt>(col, at, key, sel);
+    default:
+      return CompactCompare<sql::BinOp::kGe>(col, at, key, sel);
+  }
+}
+
+/// The comparison with its operands swapped: `a op b` iff `b Mirror(op) a`.
+/// Exact because CompareTyped is antisymmetric.
+sql::BinOp Mirror(sql::BinOp op) {
+  switch (op) {
+    case sql::BinOp::kLt:
+      return sql::BinOp::kGt;
+    case sql::BinOp::kLe:
+      return sql::BinOp::kGe;
+    case sql::BinOp::kGt:
+      return sql::BinOp::kLt;
+    case sql::BinOp::kGe:
+      return sql::BinOp::kLe;
+    default:
+      return op;  // = and <> are symmetric
+  }
+}
+
+/// Applies a conjunct of the form `column op literal` or `literal op
+/// column` straight to `sel`: the chunk's typed column is read through the
+/// selection and compared with the constant, with no operand copy and no
+/// bool column. Returns false, leaving `sel` alone, for every other shape
+/// and for the pairs CompareAt does not order in typed form (bool, generic
+/// and untyped columns, cross-kind pairs) and an out-of-range slot; those
+/// take EvalScalarBatch, which yields the same answer or error.
+bool FilterInPlace(const ScalarPtr& p, const DataChunk& chunk,
+                   Selection* sel) {
+  if (p == nullptr || p->kind != ScalarKind::kBinary ||
+      p->left == nullptr || p->right == nullptr) {
+    return false;
+  }
+  sql::BinOp op = p->bin_op;
+  const algebra::Scalar* column = p->left.get();
+  const algebra::Scalar* literal = p->right.get();
+  if (column->kind == ScalarKind::kLiteral) {
+    std::swap(column, literal);
+    op = Mirror(op);
+  }
+  if (!algebra::IsComparison(op) || column->kind != ScalarKind::kColumn ||
+      literal->kind != ScalarKind::kLiteral || column->slot < 0 ||
+      static_cast<size_t>(column->slot) >= chunk.num_columns()) {
+    return false;
+  }
+  const ColumnVector& col = chunk.column(column->slot);
+  const Value& key = literal->value;
+  using Tag = ColumnVector::Tag;
+  if (key.is_null()) {
+    sel->clear();  // every comparison with NULL is UNKNOWN
+  } else if (col.tag() == Tag::kInt && key.is_int()) {
+    CompareInPlace(op, col, [&col](size_t i) { return col.IntAt(i); },
+                   key.int_value(), sel);
+  } else if (col.tag() == Tag::kInt && key.is_double()) {
+    CompareInPlace(
+        op, col,
+        [&col](size_t i) { return static_cast<double>(col.IntAt(i)); },
+        key.double_value(), sel);
+  } else if (col.tag() == Tag::kDouble && key.is_numeric()) {
+    CompareInPlace(op, col, [&col](size_t i) { return col.DoubleAt(i); },
+                   key.AsDouble(), sel);
+  } else if (col.tag() == Tag::kString && key.is_string()) {
+    CompareInPlace(
+        op, col,
+        [&col](size_t i) -> const std::string& { return col.StringAt(i); },
+        key.string_value(), sel);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Status EvalScalarBatch(const ScalarPtr& s, const DataChunk& chunk,
@@ -356,14 +465,14 @@ Status FilterSelection(const std::vector<ScalarPtr>& predicates,
   ColumnVector result;
   for (const ScalarPtr& p : predicates) {
     if (sel->empty()) return Status::OK();
+    if (FilterInPlace(p, chunk, sel)) continue;
     FGAC_RETURN_NOT_OK(EvalScalarBatch(p, chunk, *sel, &result));
-    Selection next;
-    next.reserve(sel->size());
+    size_t m = 0;
     for (size_t i = 0; i < sel->size(); ++i) {
       std::optional<bool> t = TruthAt(result, i);
-      if (t.has_value() && *t) next.push_back((*sel)[i]);
+      if (t.has_value() && *t) (*sel)[m++] = (*sel)[i];
     }
-    *sel = std::move(next);
+    sel->resize(m);
   }
   return Status::OK();
 }

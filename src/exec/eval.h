@@ -33,7 +33,10 @@ Status EvalScalarBatch(const algebra::ScalarPtr& s, const DataChunk& chunk,
 
 /// Narrows `sel` to the rows passing every conjunct (SQL WHERE semantics:
 /// UNKNOWN filters out). Conjuncts are applied left-to-right, each evaluated
-/// only on rows that survived the previous ones.
+/// only on rows that survived the previous ones. A comparison of an int,
+/// double or string column with a literal (on either side) compares the
+/// typed column with the constant in place; every other conjunct goes
+/// through EvalScalarBatch, with the same answers and errors.
 Status FilterSelection(const std::vector<algebra::ScalarPtr>& predicates,
                        const DataChunk& chunk, Selection* sel);
 

@@ -8,7 +8,6 @@
 namespace fgac::storage {
 
 void Relation::AppendChunk(const exec::DataChunk& chunk) {
-  rows_.reserve(rows_.size() + chunk.size());
   for (size_t i = 0; i < chunk.size(); ++i) {
     rows_.push_back(chunk.GetRow(i));
   }

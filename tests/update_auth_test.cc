@@ -234,6 +234,102 @@ TEST_F(DmlConstraintTest, VerifyConstraintsDetectsViolation) {
   EXPECT_EQ(s.code(), StatusCode::kConstraintViolation);
 }
 
+// UPDATE and DELETE find their rows through the executor's filter, one
+// WHERE conjunct after another: over NULL-bearing columns they touch
+// exactly the rows a SELECT with the same WHERE returns.
+class DmlWhereTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kWheres[] = {
+      "a = 1 and b = 'x'",
+      "b = 'x' and a = 1 and c > 1.0",
+      "1 = a and 0.0 <= c",
+      "a <> 2 and b <> 'y' and c < 2.0",
+      "a = 1 and (b = 'x' or c is null)",
+      "c = c and a >= 1 and b is not null",
+      "b = 'x' and a is null",
+  };
+
+  static void Load(Database* db) {
+    ASSERT_TRUE(db->ExecuteScript(R"sql(
+      create table t (id int not null primary key, a int, b varchar,
+                       c double);
+      insert into t values
+        (1, 1, 'x', 1.5), (2, null, 'x', 0.0), (3, 1, null, 2.5),
+        (4, 2, 'y', null), (5, 1, 'x', null), (6, null, null, null),
+        (7, 1, 'y', 0.0), (8, 2, 'x', 2.5), (9, 1, 'x', 0.5);
+    )sql")
+                    .ok());
+  }
+
+  static std::string Ids(Database* db, const std::string& where) {
+    return fgac::testing::SortedRowsToString(fgac::testing::MustQueryAdmin(
+        db, "select id from t where " + where));
+  }
+};
+
+TEST_F(DmlWhereTest, UpdateTouchesTheRowsSelectReturns) {
+  for (const char* where : kWheres) {
+    Database db;
+    Load(&db);
+    std::string want = Ids(&db, where);
+    auto r = db.ExecuteAsAdmin(std::string("update t set b = 'hit' where ") +
+                               where);
+    ASSERT_TRUE(r.ok()) << r.status().ToString() << "\nwhere " << where;
+    EXPECT_EQ(Ids(&db, "b = 'hit'"), want) << "where " << where;
+    EXPECT_EQ(static_cast<size_t>(r.value().affected_rows),
+              fgac::testing::MustQueryAdmin(
+                  &db, "select id from t where b = 'hit'")
+                  .num_rows());
+  }
+}
+
+TEST_F(DmlWhereTest, DeleteRemovesTheRowsSelectReturns) {
+  for (const char* where : kWheres) {
+    Database db;
+    Load(&db);
+    size_t want = fgac::testing::MustQueryAdmin(
+                      &db, std::string("select id from t where ") + where)
+                      .num_rows();
+    auto r = db.ExecuteAsAdmin(std::string("delete from t where ") + where);
+    ASSERT_TRUE(r.ok()) << r.status().ToString() << "\nwhere " << where;
+    // As many rows went as the SELECT returned, and none it returned is
+    // left: the deleted rows are the SELECT's rows.
+    EXPECT_EQ(static_cast<size_t>(r.value().affected_rows), want)
+        << "where " << where;
+    EXPECT_EQ(Ids(&db, where), "") << "where " << where;
+    EXPECT_EQ(fgac::testing::MustQueryAdmin(&db, "select id from t")
+                  .num_rows(),
+              9u - want)
+        << "where " << where;
+  }
+}
+
+// A conjunct runs only on the rows every earlier conjunct kept. Binding
+// normalizes a DML WHERE, which orders AND's operands by fingerprint: both
+// spellings below bind as [a = 1, (10 / b) = 5]. Row 1's first conjunct is
+// NULL, so its division by zero never runs. Evaluated as one AND tree, the
+// NULL left row 1 undecided, the division ran, and the statement failed.
+TEST_F(DmlWhereTest, LaterConjunctSkipsRowsAnEarlierOneDropped) {
+  for (const char* where : {"a = 1 and 10 / b = 5", "10 / b = 5 and a = 1"}) {
+    for (const char* dml :
+         {"delete from d where ", "update d set b = 10 where "}) {
+      Database db;
+      ASSERT_TRUE(db.ExecuteScript(R"sql(
+        create table d (id int not null primary key, a int, b int);
+        insert into d values (1, null, 0), (2, 1, 2), (3, 2, 0);
+      )sql")
+                      .ok());
+      auto r = db.ExecuteAsAdmin(std::string(dml) + where);
+      ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << dml << where;
+      EXPECT_EQ(r.value().affected_rows, 1) << dml << where;
+      // A division that does run on row 1 still fails.
+      auto bad = db.ExecuteAsAdmin(std::string(dml) + "10 / b = 5");
+      ASSERT_FALSE(bad.ok()) << dml;
+      EXPECT_EQ(bad.status().code(), StatusCode::kExecutionError) << dml;
+    }
+  }
+}
+
 // A multi-row INSERT is checked against its own earlier rows as well as the
 // stored ones, and refused before any of its rows is applied.
 TEST(InsertKeyTest, MultiRowInsertRepeatingAKeyIsRefused) {
