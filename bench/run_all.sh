@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs every bench binary and aggregates their JSON-line outputs into one
 # machine-readable BENCH_RESULTS.json, together with the size of the engine
-# ("src_lines": non-blank lines of src/**/*.{h,cc}).
+# ("src_lines": non-blank lines of src/**/*.{h,cc}) and the machine the
+# numbers came from ("machine": nproc, CPU model, the build tree's build
+# type and compiler).
 #
 # Usage:
 #   bench/run_all.sh [output.json]
@@ -48,8 +50,8 @@ for bin in "$BUILD_DIR"/bench/bench_*; do
   fi
 done
 
-python3 - "$TMP" "$OUT" "${FGAC_SEED_BASELINE:-}" <<'EOF'
-import json, os, sys
+python3 - "$TMP" "$OUT" "${FGAC_SEED_BASELINE:-}" "$BUILD_DIR" <<'EOF'
+import glob, json, os, re, sys
 
 def read_lines(path):
     out = []
@@ -80,7 +82,39 @@ for dirpath, _, filenames in os.walk("src"):
             with open(os.path.join(dirpath, name)) as f:
                 src_lines += sum(1 for line in f if line.strip())
 
-doc = {"benchmarks": runs, "src_lines": src_lines}
+def cache_value(text, key):
+    m = re.search(r"^" + key + r":[A-Z]+=(.*)$", text, re.M)
+    return m.group(1) if m else ""
+
+def machine(build_dir):
+    cpu = ""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    build_type = compiler = ""
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            build_type = cache_value(f.read(), "CMAKE_BUILD_TYPE")
+    except OSError:
+        pass
+    for path in glob.glob(os.path.join(build_dir, "CMakeFiles", "*",
+                                       "CMakeCXXCompiler.cmake")):
+        with open(path) as f:
+            text = f.read()
+        cid = re.search(r'set\(CMAKE_CXX_COMPILER_ID "([^"]*)"\)', text)
+        ver = re.search(r'set\(CMAKE_CXX_COMPILER_VERSION "([^"]*)"\)', text)
+        compiler = " ".join(m.group(1) for m in (cid, ver) if m)
+        break
+    return {"nproc": os.cpu_count(), "cpu": cpu, "build_type": build_type,
+            "compiler": compiler}
+
+doc = {"benchmarks": runs, "src_lines": src_lines,
+       "machine": machine(sys.argv[4])}
 if baseline:
     doc["baseline_source"] = sys.argv[3]
 with open(sys.argv[2], "w") as f:

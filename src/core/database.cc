@@ -16,9 +16,9 @@
 #include "common/fault_injection.h"
 #include "common/thread_pool.h"
 #include "core/truman.h"
-#include "exec/eval.h"
 #include "exec/executor.h"
 #include "exec/parallel.h"
+#include "exec/row_finder.h"
 #include "exec/scheduler.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
@@ -1175,48 +1175,37 @@ Result<ExecResult> Database::Explain(const sql::ExplainStmt& stmt,
 namespace {
 
 /// Ascending indices of the rows of `data` that satisfy `where` (every row
-/// when it is null), found chunk by chunk with the executor's batched
-/// filter, so UPDATE and DELETE find their rows as a SELECT does. The
-/// bound WHERE's conjuncts run left to right, each only on the rows every
-/// earlier one kept (DESIGN §6).
+/// when it is null), found by the row finder, so UPDATE and DELETE take a
+/// keyed WHERE through the key index and filter storage in place. The bound
+/// WHERE's conjuncts run left to right, each only on the rows every earlier
+/// one kept (DESIGN §6).
 Result<std::vector<size_t>> MatchingRows(const storage::TableData& data,
                                          const algebra::ScalarPtr& where) {
   std::vector<algebra::ScalarPtr> predicates;
   algebra::FlattenAnd(where, &predicates);
-  std::vector<size_t> out;
-  exec::DataChunk chunk;
-  exec::Selection sel;
-  for (size_t start = 0; start < data.num_rows();
-       start += exec::DataChunk::kDefaultCapacity) {
-    FGAC_ASSIGN_OR_RETURN(
-        size_t n,
-        data.ScanChunk(start, exec::DataChunk::kDefaultCapacity, &chunk));
-    exec::IdentitySelection(n, &sel);
-    FGAC_RETURN_NOT_OK(exec::FilterSelection(predicates, chunk, &sel));
-    for (uint32_t i : sel) out.push_back(start + i);
-  }
-  return out;
+  return exec::FindRows(data, predicates, /*limit=*/std::nullopt,
+                        /*guard=*/nullptr);
 }
 
-/// True when some row of `data` equals `row` on the paired columns,
-/// data's `data_cols[k]` against row's `row_cols[k]`. NULL equals NULL, as
-/// Value::operator== has it.
-bool HasRow(const storage::TableData& data,
-            const std::vector<size_t>& data_cols, const Row& row,
-            const std::vector<size_t>& row_cols) {
-  exec::DataChunk probe(row.size());
-  probe.AppendRow(row);
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    bool match = true;
-    for (size_t k = 0; match && k < data_cols.size(); ++k) {
-      const exec::ColumnVector& a = data.column(data_cols[k]);
-      const exec::ColumnVector& b = probe.column(row_cols[k]);
-      match = a.IsNull(i) || b.IsNull(0) ? a.IsNull(i) && b.IsNull(0)
-                                         : exec::CompareAt(a, i, b, 0) == 0;
-    }
-    if (match) return true;
+/// Ascending indices of the rows of `data` whose `cols[k]` equals `key[k]`
+/// for every k, NULL equal to NULL as Value::operator== has it; at most
+/// `limit` of them when one is given. The equalities are conjuncts for the
+/// row finder, so a lookup on a table's key goes through its key index.
+Result<std::vector<size_t>> RowsWithKey(const storage::TableData& data,
+                                        const std::vector<size_t>& cols,
+                                        const Row& key,
+                                        std::optional<size_t> limit) {
+  std::vector<algebra::ScalarPtr> conjuncts;
+  conjuncts.reserve(cols.size());
+  for (size_t k = 0; k < cols.size(); ++k) {
+    algebra::ScalarPtr column = algebra::MakeColumn(static_cast<int>(cols[k]));
+    conjuncts.push_back(
+        key[k].is_null()
+            ? algebra::MakeUnaryScalar(sql::UnOp::kIsNull, std::move(column))
+            : algebra::MakeBinaryScalar(sql::BinOp::kEq, std::move(column),
+                                        algebra::MakeLiteralScalar(key[k])));
   }
-  return false;
+  return exec::FindRows(data, conjuncts, limit, /*guard=*/nullptr);
 }
 
 Row KeyOf(const Row& row, const std::vector<size_t>& cols) {
@@ -1256,10 +1245,15 @@ Status Database::CheckRowConstraints(const TableSchema& schema,
   }
   // Primary-key uniqueness.
   const storage::TableData* data = state_.GetTable(schema.name());
-  if (schema.has_primary_key() && data != nullptr &&
-      HasRow(*data, schema.primary_key(), row, schema.primary_key())) {
-    return Status::ConstraintViolation("duplicate primary key in '" +
-                                       schema.name() + "'");
+  if (schema.has_primary_key() && data != nullptr) {
+    FGAC_ASSIGN_OR_RETURN(
+        std::vector<size_t> holders,
+        RowsWithKey(*data, schema.primary_key(),
+                    KeyOf(row, schema.primary_key()), /*limit=*/1));
+    if (!holders.empty()) {
+      return Status::ConstraintViolation("duplicate primary key in '" +
+                                         schema.name() + "'");
+    }
   }
   return Status::OK();
 }
@@ -1281,8 +1275,11 @@ Status Database::CheckForeignKeys(const std::string& table,
       dst_idx.push_back(*dst->FindColumn(dep.dst_columns[i]));
     }
     // NULL foreign keys are exempt (SQL MATCH SIMPLE).
-    if (HasNull(KeyOf(row, src_idx))) continue;
-    if (!HasRow(*dst_data, dst_idx, row, src_idx)) {
+    Row key = KeyOf(row, src_idx);
+    if (HasNull(key)) continue;
+    FGAC_ASSIGN_OR_RETURN(std::vector<size_t> targets,
+                          RowsWithKey(*dst_data, dst_idx, key, /*limit=*/1));
+    if (targets.empty()) {
       return Status::ConstraintViolation(
           "foreign key '" + dep.name + "' violated: no matching row in '" +
           dep.dst_table + "'");
@@ -1318,11 +1315,24 @@ Status Database::CheckKeysAfterWrite(
     }
     return *after;
   };
+  // Every written key must be new among the images and held by no row the
+  // write leaves in place (`rows` is ascending).
   if (images != nullptr && schema.has_primary_key() &&
       at_stake(schema.primary_key())) {
-    std::set<Row> keys;
-    for (const Row& r : table_after()) {
-      if (!keys.insert(KeyOf(r, schema.primary_key())).second) {
+    const storage::TableData& data = *state_.GetTable(schema.name());
+    std::set<Row> written;
+    for (const Row& image : *images) {
+      Row key = KeyOf(image, schema.primary_key());
+      bool duplicate = !written.insert(key).second;
+      if (!duplicate) {
+        FGAC_ASSIGN_OR_RETURN(
+            std::vector<size_t> holders,
+            RowsWithKey(data, schema.primary_key(), key, std::nullopt));
+        duplicate = std::any_of(holders.begin(), holders.end(), [&](size_t i) {
+          return !std::binary_search(rows.begin(), rows.end(), i);
+        });
+      }
+      if (duplicate) {
         return Status::ConstraintViolation("duplicate primary key in '" +
                                            schema.name() + "'");
       }
@@ -1581,7 +1591,8 @@ Result<ExecResult> Database::ApplyCreateTable(const sql::CreateTableStmt& stmt) 
   }
   schema.set_primary_key(std::move(pk));
   FGAC_RETURN_NOT_OK(catalog_.AddTable(schema));
-  FGAC_RETURN_NOT_OK(state_.CreateTable(stmt.name, schema.num_columns()));
+  FGAC_RETURN_NOT_OK(state_.CreateTable(stmt.name, schema.num_columns(),
+                                        schema.primary_key()));
 
   for (size_t i = 0; i < stmt.foreign_keys.size(); ++i) {
     const sql::ForeignKeyClause& fk = stmt.foreign_keys[i];

@@ -9,6 +9,7 @@
 #include "common/fault_injection.h"
 #include "core/view_pruning.h"
 #include "exec/executor.h"
+#include "exec/row_finder.h"
 #include "exec/scheduler.h"
 #include "optimizer/implication.h"
 
@@ -55,35 +56,60 @@ MemoExpr DistinctExpr(GroupId child) {
   return e;
 }
 
-/// Runs the LIMIT-1 visible-non-emptiness probes of one inference round as
-/// a batch: nonempty[i] tells whether plans[i] produced at least one row.
-/// With `parallelism` > 1 the batch runs as one single-pipeline DAG on the
-/// shared PipelineScheduler — validity probes are first-class pipeline work
-/// and interleave with executing queries on the same worker pool. Each
-/// probe task uses the SERIAL executor because pool tasks must not
-/// re-enter the pool (no nested waits). Safe because probes only read
-/// `state` and immutable plan nodes — all memo mutation happens outside
-/// this function. A probe that errors counts as empty, as in the serial
-/// code — including a probe tripping its own `limits` (per-probe guard) or
-/// an injected "validity.probe" fault; probe tasks therefore always return
-/// OK to the scheduler, so one failing probe never cancels its batch
-/// peers. Missing a conditional marking is sound: it can only reject more.
-/// `parent` (the whole-check guard) propagates the check-wide deadline and
-/// cancellation into every probe.
+/// Whether `plan` yields a row in `state`, under `guard`. A plan of shape
+/// π*(σ*(Get)) asks the row finder for one row of its table, which takes
+/// the key index when the selections pin the key; any other plan runs as a
+/// LIMIT-1 query.
+Result<bool> VisiblyNonEmpty(const PlanPtr& plan,
+                             const storage::DatabaseState& state,
+                             common::QueryGuard* guard) {
+  if (std::optional<exec::TableFilter> filter = exec::AsTableFilter(plan)) {
+    if (const storage::TableData* data = state.GetTable(filter->table)) {
+      FGAC_ASSIGN_OR_RETURN(
+          std::vector<size_t> rows,
+          exec::FindRows(*data, filter->conjuncts, /*limit=*/1, guard));
+      return !rows.empty();
+    }
+  }
+  FGAC_ASSIGN_OR_RETURN(
+      storage::Relation rows,
+      exec::ExecutePlan(algebra::MakeLimit(1, plan), state, guard));
+  return !rows.empty();
+}
+
+/// Runs the visible-non-emptiness probes of one inference round as a batch:
+/// nonempty[i] tells whether plans[i] produced at least one row, and
+/// (*guard_rows)[i] is the row charge of its guard. With `parallelism` > 1
+/// the batch runs as one single-pipeline DAG on the shared
+/// PipelineScheduler — validity probes are first-class pipeline work and
+/// interleave with executing queries on the same worker pool. Each probe
+/// task uses the SERIAL executor because pool tasks must not re-enter the
+/// pool (no nested waits). Safe because probes only read `state` and
+/// immutable plan nodes — all memo mutation happens outside this function.
+/// A probe that errors counts as empty, as in the serial code — including
+/// a probe tripping its own `limits` (per-probe guard) or an injected
+/// "validity.probe" fault; probe tasks therefore always return OK to the
+/// scheduler, so one failing probe never cancels its batch peers. Missing
+/// a conditional marking is sound: it can only reject more. `parent` (the
+/// whole-check guard) propagates the check-wide deadline and cancellation
+/// into every probe.
 std::vector<char> RunNonEmptinessProbes(const std::vector<PlanPtr>& plans,
                                         const storage::DatabaseState& state,
                                         size_t parallelism,
                                         const common::QueryLimits& limits,
                                         const common::QueryGuard* parent,
-                                        const exec::DagOptions& dag_opts) {
+                                        const exec::DagOptions& dag_opts,
+                                        std::vector<uint64_t>* guard_rows) {
   std::vector<char> nonempty(plans.size(), 0);
-  auto run_one = [&plans, &state, &nonempty, &limits, parent](size_t i) {
+  guard_rows->assign(plans.size(), 0);
+  auto run_one = [&plans, &state, &nonempty, &limits, parent,
+                  guard_rows](size_t i) {
     Status injected = FGAC_FAULT_CHECK("validity.probe");
     if (!injected.ok()) return;
     common::QueryGuard probe_guard(limits, parent);
-    Result<storage::Relation> r = exec::ExecutePlan(
-        algebra::MakeLimit(1, plans[i]), state, &probe_guard);
-    nonempty[i] = r.ok() && !r.value().empty() ? 1 : 0;
+    Result<bool> r = VisiblyNonEmpty(plans[i], state, &probe_guard);
+    nonempty[i] = r.ok() && r.value() ? 1 : 0;
+    (*guard_rows)[i] = probe_guard.rows_charged();
   };
   if (parallelism <= 1 || plans.size() <= 1) {
     for (size_t i = 0; i < plans.size(); ++i) run_one(i);
@@ -210,10 +236,11 @@ std::vector<char> ValidityChecker::RunProbeBatch(
   }
   c3_probes_ += plans.size();
   common::ScopedSpan probe_span(span_ctx_, "validity.probe_batch");
+  std::vector<uint64_t> guard_rows;
   std::vector<char> nonempty =
       RunNonEmptinessProbes(plans, *state_, options_.probe_parallelism,
                             options_.probe_limits, check_guard_.get(),
-                            dag_opts_);
+                            dag_opts_, &guard_rows);
   if (probe_span.active()) {
     size_t hits = 0;
     for (char hit : nonempty) hits += hit ? 1 : 0;
@@ -225,7 +252,9 @@ std::vector<char> ValidityChecker::RunProbeBatch(
     e.kind = ValidityTraceEvent::Kind::kProbeBatch;
     e.probes = plans.size();
     for (char hit : nonempty) e.probe_rows += hit ? 1 : 0;
+    for (uint64_t rows : guard_rows) e.guard_rows += rows;
     e.probe_sql = ProbeBatchSql(plans);
+    e.probe_plans = plans;
     trace_->Add(std::move(e));
   }
   return nonempty;

@@ -76,7 +76,8 @@ std::string ValidityTrace::ToJsonLines() const {
     }
     if (e.kind == ValidityTraceEvent::Kind::kProbeBatch) {
       out += ",\"probes\":" + std::to_string(e.probes) +
-             ",\"nonempty\":" + std::to_string(e.probe_rows);
+             ",\"nonempty\":" + std::to_string(e.probe_rows) +
+             ",\"guard_rows\":" + std::to_string(e.guard_rows);
       if (!e.probe_sql.empty()) {
         out += ",\"probe_sql\":";
         AppendJsonString(&out, e.probe_sql);

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "algebra/plan.h"
+
 namespace fgac::core {
 
 /// One step of the Non-Truman enforcement decision: an inference rule
@@ -32,11 +34,14 @@ struct ValidityTraceEvent {
   std::string detail;
   /// kProbeBatch: the probe plans, rendered one-line, '; '-separated.
   std::string probe_sql;
+  /// kProbeBatch: the probe plans themselves, in batch order.
+  std::vector<algebra::PlanPtr> probe_plans;
   /// kProbeBatch: probes in the batch / how many were visibly non-empty
-  /// (each probe is a LIMIT-1 query, so rows returned == non-empty count).
+  /// (each probe asks for one row, so rows returned == non-empty count).
   uint64_t probes = 0;
   uint64_t probe_rows = 0;
   /// kVerdict / kDegraded: guard budget consumed when the event fired.
+  /// kProbeBatch: rows charged to the batch's per-probe guards, summed.
   uint64_t guard_rows = 0;
   uint64_t guard_bytes = 0;
   /// kVerdict: the outcome.

@@ -4,34 +4,41 @@
 
 namespace fgac::exec {
 
-uint64_t HashKeyRow(const std::vector<ColumnVector>& keys, size_t i) {
+namespace {
+
+/// Value::Hash of element i, read from the typed array.
+size_t HashElement(const ColumnVector& c, size_t i) {
   using Tag = ColumnVector::Tag;
-  size_t h = kRowHashSeed;
-  for (const ColumnVector& c : keys) {
-    size_t e = HashNull();
-    if (c.IsValid(i)) {
-      switch (c.tag()) {
-        case Tag::kBool:
-          e = HashBool(c.BoolAt(i));
-          break;
-        case Tag::kInt:
-          e = HashInt(c.IntAt(i));
-          break;
-        case Tag::kDouble:
-          e = HashDouble(c.DoubleAt(i));
-          break;
-        case Tag::kString:
-          e = HashString(c.StringAt(i));
-          break;
-        case Tag::kGeneric:
-          e = c.GenericAt(i).Hash();
-          break;
-        case Tag::kUntyped:
-          break;  // unreachable: untyped columns hold only NULLs
-      }
-    }
-    h = CombineRowHash(h, e);
+  if (!c.IsValid(i)) return HashNull();
+  switch (c.tag()) {
+    case Tag::kBool:
+      return HashBool(c.BoolAt(i));
+    case Tag::kInt:
+      return HashInt(c.IntAt(i));
+    case Tag::kDouble:
+      return HashDouble(c.DoubleAt(i));
+    case Tag::kString:
+      return HashString(c.StringAt(i));
+    case Tag::kGeneric:
+      return c.GenericAt(i).Hash();
+    case Tag::kUntyped:
+      break;  // unreachable: untyped columns hold only NULLs
   }
+  return HashNull();
+}
+
+}  // namespace
+
+uint64_t HashKeyRow(const std::vector<ColumnVector>& keys, size_t i) {
+  size_t h = kRowHashSeed;
+  for (const ColumnVector& c : keys) h = CombineRowHash(h, HashElement(c, i));
+  return h;
+}
+
+uint64_t HashKeyRow(const std::vector<ColumnVector>& columns,
+                    const std::vector<size_t>& key_columns, size_t i) {
+  size_t h = kRowHashSeed;
+  for (size_t k : key_columns) h = CombineRowHash(h, HashElement(columns[k], i));
   return h;
 }
 

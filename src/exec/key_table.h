@@ -13,6 +13,10 @@ namespace fgac::exec {
 /// through double so 3 and 3.0 collide, -0.0 hashes as 0.0, every NaN
 /// alike, and NULL is one constant.
 uint64_t HashKeyRow(const std::vector<ColumnVector>& keys, size_t i);
+/// The same hash over the key columns `key_columns` of `columns` (a table's
+/// key read in place), so it equals HashKeyRow over those columns alone.
+uint64_t HashKeyRow(const std::vector<ColumnVector>& columns,
+                    const std::vector<size_t>& key_columns, size_t i);
 
 /// Three-way key order of a[i] vs b[j]: NULL equals NULL and sorts first,
 /// then CompareAt. This is Value::Compare's order, so `== 0` is the

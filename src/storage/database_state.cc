@@ -1,12 +1,15 @@
 #include "storage/database_state.h"
 
+#include <utility>
+
 namespace fgac::storage {
 
-Status DatabaseState::CreateTable(const std::string& name, size_t num_columns) {
+Status DatabaseState::CreateTable(const std::string& name, size_t num_columns,
+                                  std::vector<size_t> key_columns) {
   if (tables_.count(name) > 0) {
     return Status::CatalogError("table data for '" + name + "' already exists");
   }
-  tables_.emplace(name, TableData(num_columns));
+  tables_.emplace(name, TableData(num_columns, std::move(key_columns)));
   ++structural_version_;
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "storage/table_data.h"
@@ -32,8 +33,10 @@ class DatabaseState {
   DatabaseState& operator=(DatabaseState&&) = default;
 
   /// Creates the table in this state; in a layer it shadows the base's
-  /// table of the same name.
-  Status CreateTable(const std::string& name, size_t num_columns);
+  /// table of the same name. `key_columns` are the primary key's column
+  /// indices from the catalog (empty = no key, no key index).
+  Status CreateTable(const std::string& name, size_t num_columns,
+                     std::vector<size_t> key_columns = {});
   Status DropTable(const std::string& name);
   bool HasTable(const std::string& name) const;
   const TableData* GetTable(const std::string& name) const;

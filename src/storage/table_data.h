@@ -3,21 +3,26 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/value.h"
 #include "exec/chunk.h"
+#include "storage/key_index.h"
 
 namespace fgac::storage {
 
 /// The data of one base table, stored as one typed column per attribute.
 /// Rows keep insertion order; UPDATE overwrites in place and deletion
 /// compacts. The schema lives in the catalog; TableData only knows its
-/// width, and pads a narrow row with NULLs.
+/// width and its primary key's columns, and pads a narrow row with NULLs.
+/// A table with a key owns a KeyIndex from key to row positions, which
+/// every mutator below keeps current.
 ///
 /// Concurrency contract: any number of threads may call the const read API
-/// (ScanChunk, GetRow, column, num_rows) at once; reads write nothing, so
+/// (ScanChunk, GetRow, FindKey, column, num_rows) at once; reads write
+/// nothing, so
 /// concurrent readers share no mutable state. Mutations are NOT
 /// thread-safe against readers or each other; callers must quiesce scans
 /// before writing, exactly as with the operator-tree borrow contract in
@@ -28,13 +33,31 @@ namespace fgac::storage {
 /// counter would leave cached conditional verdicts stale.
 class TableData {
  public:
-  explicit TableData(size_t num_columns) : columns_(num_columns) {}
+  /// `key_columns` (the primary key's column indices; empty = no key)
+  /// selects the columns the key index covers.
+  explicit TableData(size_t num_columns, std::vector<size_t> key_columns = {})
+      : rows_(num_columns), index_(std::move(key_columns)) {}
 
-  size_t num_columns() const { return columns_.size(); }
-  size_t num_rows() const { return num_rows_; }
-  const exec::ColumnVector& column(size_t c) const { return columns_[c]; }
+  size_t num_columns() const { return rows_.num_columns(); }
+  size_t num_rows() const { return rows_.size(); }
+  const exec::ColumnVector& column(size_t c) const { return rows_.column(c); }
+  /// Every row as one chunk over the stored columns, for filters that read
+  /// storage in place (exec::FindRows).
+  const exec::DataChunk& rows() const { return rows_; }
   /// Materializes row i.
   Row GetRow(size_t i) const;
+
+  /// The key index's columns; empty when the table has no key.
+  const std::vector<size_t>& key_columns() const {
+    return index_.key_columns();
+  }
+  /// Appends to `out`, ascending, the position of every row whose key
+  /// equals element `i` of `key` (one column per key column; NULL equals
+  /// NULL, 3 equals 3.0). Finds nothing in a table without a key.
+  void FindKey(const std::vector<exec::ColumnVector>& key, size_t i,
+               exec::Selection* out) const {
+    index_.Find(rows_.columns(), key, i, out);
+  }
 
   /// Counts mutations (inserts, updates, deletes, wholesale replacement).
   /// The statement cache keys conditional verdicts on the aggregate of
@@ -61,10 +84,11 @@ class TableData {
                            exec::DataChunk* out) const;
 
  private:
+  /// Appends the row to the columns and the key index.
   void Append(const Row& row);
 
-  std::vector<exec::ColumnVector> columns_;
-  size_t num_rows_ = 0;
+  exec::DataChunk rows_;
+  KeyIndex index_;
   uint64_t version_ = 0;
 };
 

@@ -19,8 +19,10 @@
 #include "exec/chunk.h"
 #include "exec/eval.h"
 #include "exec/executor.h"
+#include "exec/row_finder.h"
 #include "sql/parser.h"
 #include "storage/relation.h"
+#include "storage/table_data.h"
 #include "tests/query_gen.h"
 #include "tests/test_util.h"
 
@@ -695,6 +697,204 @@ TEST_F(FilterKernelTest, OutOfRangeSlotKeepsItsError) {
           << algebra::ScalarToString(p);
     }
   }
+}
+
+// Scalar aggregates (no GROUP BY) keep one group and count COUNT(*)
+// without reading values. Every aggregate, with and without DISTINCT, over
+// empty, all-NULL, int, double and mixed-kind inputs of several chunks must
+// render exactly as the reference evaluator's, at parallelism 1 and 2.
+// The doubles are multiples of 1/4, so sums are exact in any order.
+TEST(ScalarAggregateTest, MatchesReferenceAtEveryParallelism) {
+  core::Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    create table t_empty (x int);
+    create table t_null (x int);
+    create table t_int (x int);
+    create table t_double (x double);
+    create table t_mixed (x double);
+  )sql")
+                  .ok());
+  std::mt19937 rng(77);
+  for (int i = 0; i < 2500; ++i) {
+    bool null = rng() % 7 == 0;
+    int64_t n = static_cast<int64_t>(rng() % 200) - 100;
+    double d = static_cast<double>(n) / 4;
+    auto pick = [&](Value v) { return null ? Value::Null() : v; };
+    db.state().GetMutableTable("t_null")->Insert({Value::Null()});
+    db.state().GetMutableTable("t_int")->Insert({pick(Value::Int(n))});
+    db.state().GetMutableTable("t_double")->Insert(
+        {pick(Value::Double(i % 50 == 0 ? -0.0 : d))});
+    // Written straight to storage: ints and doubles in one column.
+    db.state().GetMutableTable("t_mixed")->Insert(
+        {pick(i % 2 == 0 ? Value::Int(n) : Value::Double(d))});
+  }
+  ASSERT_EQ(db.state().GetTable("t_mixed")->column(0).tag(),
+            ColumnVector::Tag::kGeneric);
+  const std::string aggs =
+      "count(*), count(x), sum(x), avg(x), min(x), max(x), "
+      "count(distinct x), sum(distinct x), avg(distinct x), "
+      "min(distinct x), max(distinct x)";
+  for (const char* table :
+       {"t_empty", "t_null", "t_int", "t_double", "t_mixed"}) {
+    const std::string sql = "select " + aggs + " from " + table;
+    auto stmt = sql::Parser::ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    algebra::Binder binder(db.catalog(), {});
+    auto plan = binder.BindSelect(*stmt.value());
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto reference = algebra::ReferenceEval(plan.value(), db.state());
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_EQ(reference.value().num_rows(), 1u) << sql;
+    for (size_t p : {1u, 2u}) {
+      core::SessionContext ctx("admin");
+      ctx.set_mode(core::EnforcementMode::kNone);
+      ctx.set_exec_parallelism(p);
+      auto r = db.Execute(sql, ctx);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r.value().relation.num_rows(), 1u) << sql;
+      EXPECT_EQ(RowToString(r.value().relation.rows()[0]),
+                RowToString(reference.value().rows()[0]))
+          << sql << " at parallelism " << p;
+    }
+  }
+}
+
+// The row finder against FilterSelection over ScanChunk copies (the scan
+// path DML and the C3 probes used before it), over the kernel test's value
+// pools: NULL, NaN, ±0.0, ints beyond 2^53, int literals against double
+// columns, strings sharing prefixes, bools and a mixed generic column. The
+// tables hold 2,500 rows with heavy key duplication (written straight to
+// storage), with and without a key index; the conjunct lists mix random
+// comparisons with repeated and contradictory key equalities and IS NULL.
+class RowFinderTest : public FilterKernelTest {
+ protected:
+  /// Ascending positions passing `conjuncts`, chunk by chunk over copies.
+  static std::vector<size_t> Scanned(
+      const storage::TableData& t,
+      const std::vector<algebra::ScalarPtr>& conjuncts) {
+    std::vector<size_t> out;
+    DataChunk chunk;
+    Selection sel;
+    for (size_t start = 0; start < t.num_rows();
+         start += DataChunk::kDefaultCapacity) {
+      Result<size_t> n =
+          t.ScanChunk(start, DataChunk::kDefaultCapacity, &chunk);
+      EXPECT_TRUE(n.ok());
+      exec::IdentitySelection(*n, &sel);
+      Status st = exec::FilterSelection(conjuncts, chunk, &sel);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      for (uint32_t i : sel) out.push_back(start + i);
+    }
+    return out;
+  }
+
+  static algebra::ScalarPtr Equals(size_t slot, const Value& v, bool flip) {
+    algebra::ScalarPtr col = algebra::MakeColumn(static_cast<int>(slot));
+    algebra::ScalarPtr lit = algebra::MakeLiteralScalar(v);
+    return flip ? algebra::MakeBinaryScalar(sql::BinOp::kEq, lit, col)
+                : algebra::MakeBinaryScalar(sql::BinOp::kEq, col, lit);
+  }
+};
+
+TEST_F(RowFinderTest, DifferentialAgainstChunkedScan) {
+  Fill(23, 2500);
+  const std::vector<Value> literals =
+      Concat({{Value::Null()}, Ints(), Doubles(), Strings(), Bools()});
+  const std::vector<algebra::ScalarPtr> preds =
+      Predicates(chunk_.num_columns());
+  const std::vector<std::vector<size_t>> keys = {
+      {}, {0}, {1}, {2, 4}, {7}, {5, 3}};
+  std::mt19937 rng(24);
+  for (const std::vector<size_t>& key : keys) {
+    storage::TableData t(chunk_.num_columns(), key);
+    t.InsertRows(rows_);
+    size_t indexed = 0;
+    for (int k = 0; k < 400; ++k) {
+      std::vector<algebra::ScalarPtr> list;
+      size_t n = 1 + rng() % 4;
+      for (size_t j = 0; j < n; ++j) {
+        uint32_t roll = rng() % 10;
+        if (!key.empty() && roll < 6) {
+          // A key equality: a stored value (a hit), or any literal.
+          size_t slot = key[rng() % key.size()];
+          Value v = rng() % 2 == 0 ? rows_[rng() % rows_.size()][slot]
+                                   : literals[rng() % literals.size()];
+          list.push_back(v.is_null() && rng() % 2 == 0
+                             ? algebra::MakeUnaryScalar(
+                                   sql::UnOp::kIsNull,
+                                   algebra::MakeColumn(static_cast<int>(slot)))
+                             : Equals(slot, v, rng() % 2 == 0));
+        } else {
+          list.push_back(preds[rng() % preds.size()]);
+        }
+      }
+      std::string text;
+      for (const algebra::ScalarPtr& p : list) {
+        text += algebra::ScalarToString(p) + "; ";
+      }
+      std::vector<size_t> expected = Scanned(t, list);
+      common::QueryGuard guard;
+      Result<std::vector<size_t>> found =
+          exec::FindRows(t, list, std::nullopt, &guard);
+      ASSERT_TRUE(found.ok()) << found.status().ToString() << "\n" << text;
+      ASSERT_EQ(found.value(), expected) << text;
+      if (guard.rows_charged() < t.num_rows()) ++indexed;
+      Result<std::vector<size_t>> first = exec::FindRows(t, list, 1, nullptr);
+      ASSERT_TRUE(first.ok());
+      ASSERT_EQ(first.value(),
+                expected.empty() ? std::vector<size_t>{}
+                                 : std::vector<size_t>{expected.front()})
+          << text;
+    }
+    // The sweep reaches the index whenever the table has a key.
+    if (key.empty()) {
+      EXPECT_EQ(indexed, 0u);
+    } else {
+      EXPECT_GT(indexed, 40u) << "key of " << key.size() << " columns";
+    }
+  }
+}
+
+TEST_F(RowFinderTest, KeyLookupChargesOnlyItsCandidates) {
+  Fill(31, 3000);
+  storage::TableData t(chunk_.num_columns(), {4});
+  t.InsertRows(rows_);
+  std::vector<algebra::ScalarPtr> list = {
+      Equals(4, Value::String("s17"), /*flip=*/true)};
+  common::QueryGuard guard;
+  Result<std::vector<size_t>> found =
+      exec::FindRows(t, list, std::nullopt, &guard);
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(found.value(), Scanned(t, list));
+  EXPECT_EQ(guard.rows_charged(), found.value().size());
+  // Without a pinned key the finder charges every row it filters.
+  common::QueryGuard scan_guard;
+  ASSERT_TRUE(exec::FindRows(t, {Equals(5, Value::String("s17"), false)},
+                             std::nullopt, &scan_guard)
+                  .ok());
+  EXPECT_EQ(scan_guard.rows_charged(), t.num_rows());
+}
+
+TEST_F(RowFinderTest, ErrorOutsideTheCandidatesIsNotRaised) {
+  // `10 / d = 5 and k = 2`: d is 0 only on the row the key excludes. The
+  // scan evaluates the division there and fails; the finder never reads it.
+  storage::TableData t(2, {0});
+  t.InsertRows({{Value::Int(1), Value::Int(0)}, {Value::Int(2), Value::Int(2)}});
+  std::vector<algebra::ScalarPtr> list = {
+      algebra::MakeBinaryScalar(
+          sql::BinOp::kEq,
+          algebra::MakeBinaryScalar(sql::BinOp::kDiv,
+                                    algebra::MakeLiteralScalar(Value::Int(10)),
+                                    algebra::MakeColumn(1)),
+          algebra::MakeLiteralScalar(Value::Int(5))),
+      Equals(0, Value::Int(2), /*flip=*/false)};
+  Result<std::vector<size_t>> found =
+      exec::FindRows(t, list, std::nullopt, nullptr);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_EQ(found.value(), std::vector<size_t>{1});
+  storage::TableData plain(2);
+  plain.InsertRows({{Value::Int(1), Value::Int(0)}, {Value::Int(2), Value::Int(2)}});
+  EXPECT_FALSE(exec::FindRows(plain, list, std::nullopt, nullptr).ok());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "exec/chunk.h"
+#include "exec/key_table.h"
 #include "storage/relation.h"
 
 namespace fgac::storage {
@@ -238,6 +239,141 @@ TEST(TableDataTest, MatchesRowModelUnderRandomMutations) {
     }
   }
   EXPECT_TRUE(saw_generic);
+}
+
+// The key index answers exactly what a full scan of the key columns does:
+// for every stored key (and a few absent ones) FindKey returns the
+// positions, ascending, whose key equals it under CompareKeyAt.
+void ExpectIndexMatchesScan(const TableData& t, const std::vector<Row>& extra,
+                            const std::string& step) {
+  const std::vector<size_t>& cols = t.key_columns();
+  std::vector<Row> keys = extra;
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    Row key;
+    for (size_t c : cols) key.push_back(t.GetRow(i)[c]);
+    keys.push_back(std::move(key));
+  }
+  for (const Row& key : keys) {
+    std::vector<exec::ColumnVector> probe(cols.size());
+    for (size_t k = 0; k < cols.size(); ++k) probe[k].Append(key[k]);
+    exec::Selection scanned;
+    for (size_t i = 0; i < t.num_rows(); ++i) {
+      bool equal = true;
+      for (size_t k = 0; equal && k < cols.size(); ++k) {
+        equal = exec::CompareKeyAt(t.column(cols[k]), i, probe[k], 0) == 0;
+      }
+      if (equal) scanned.push_back(static_cast<uint32_t>(i));
+    }
+    exec::Selection found;
+    t.FindKey(probe, 0, &found);
+    ASSERT_EQ(found, scanned) << step << ": key " << RowToString(key);
+  }
+}
+
+TEST(KeyIndexTest, PositionsEqualAFullScanAfterEveryMutator) {
+  TableData t(2, {0});
+  const std::vector<Row> absent = {{Value::Int(99)}, {Value::String("a")}};
+  auto check = [&](const std::string& step) {
+    ExpectIndexMatchesScan(t, absent, step);
+  };
+  for (int64_t k = 1; k <= 40; ++k) t.Insert(R(k, "v"));
+  check("inserts");
+  t.InsertRows({R(41, "w"), R(42, "w")});
+  check("bulk insert");
+  t.UpdateRow(4, R(140, "v"));  // the key changes
+  check("update of the key");
+  t.UpdateRow(5, R(6, "changed"));  // the key stays
+  check("update keeping the key");
+  t.Insert(R(7, "dup"));  // a direct write bypasses uniqueness
+  t.Insert(R(7, "dup again"));
+  t.UpdateRow(10, R(7, "third"));
+  check("duplicate keys");
+  t.EraseIndices({0});
+  check("delete of the first row");
+  t.EraseIndices({t.num_rows() / 2});
+  check("delete of a middle row");
+  t.EraseIndices({t.num_rows() - 1});
+  check("delete of the last row");
+  t.EraseIndices({1, 2, 6, 7, 8});
+  check("delete of several rows");
+  // 3.0 equals 3; the double row degrades the key column to generic.
+  t.Insert({Value::Double(3.0), Value::String("d")});
+  t.Insert({Value::Null(), Value::String("n")});
+  t.Insert({Value::Null(), Value::String("n2")});
+  check("mixed kinds and NULL keys");
+  std::vector<size_t> all(t.num_rows());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  t.EraseIndices(all);
+  EXPECT_EQ(t.num_rows(), 0u);
+  check("delete of every row");
+  t.ReplaceAllRows({R(1, "a"), R(2, "b"), R(1, "c")});
+  check("replace all rows");
+  t.Insert(R(2, "after replace"));
+  check("insert after replace");
+}
+
+TEST(KeyIndexTest, CompositeKeyFollowsRandomMutations) {
+  // Small value domains make duplicates, NULLs and kind changes frequent;
+  // after every mutation each stored key's positions equal a scan's.
+  std::mt19937 rng(20261020);
+  TableData t(3, {2, 0});
+  auto value = [&](size_t c) {
+    uint32_t roll = rng() % 16;
+    if (roll == 0) return Value::Null();
+    if (c == 0 && roll == 1) return Value::Double(static_cast<double>(rng() % 4));
+    if (c == 0) return Value::Int(static_cast<int64_t>(rng() % 4));
+    std::string s = "k";
+    s += std::string(rng() % 3, 'k');
+    return Value::String(s);
+  };
+  auto row = [&] { return Row{value(0), value(1), value(2)}; };
+  const std::vector<Row> absent = {{Value::String("none"), Value::Int(0)}};
+  for (int step = 0; step < 400; ++step) {
+    uint32_t op = t.num_rows() == 0 ? 0 : rng() % 10;
+    if (op < 4) {
+      t.Insert(row());
+    } else if (op < 5) {
+      t.InsertRows({row(), row(), row()});
+    } else if (op < 8) {
+      t.UpdateRow(rng() % t.num_rows(), row());
+    } else if (op < 9) {
+      std::vector<size_t> doomed;
+      for (size_t i = 0; i < t.num_rows(); ++i) {
+        if (rng() % 5 == 0) doomed.push_back(i);
+      }
+      t.EraseIndices(doomed);
+    } else {
+      t.ReplaceAllRows({row(), row()});
+    }
+    ExpectIndexMatchesScan(t, absent, "step " + std::to_string(step));
+  }
+}
+
+TEST(KeyIndexTest, StateCreatesTheIndexFromKeyColumns) {
+  DatabaseState state;
+  ASSERT_TRUE(state.CreateTable("keyed", 2, {1}).ok());
+  ASSERT_TRUE(state.CreateTable("plain", 2).ok());
+  EXPECT_EQ(state.GetTable("keyed")->key_columns(), std::vector<size_t>{1});
+  EXPECT_TRUE(state.GetTable("plain")->key_columns().empty());
+  state.GetMutableTable("keyed")->Insert(R(1, "a"));
+  state.GetMutableTable("plain")->Insert(R(1, "a"));
+  std::vector<exec::ColumnVector> probe(1);
+  probe[0].Append(Value::String("a"));
+  exec::Selection found;
+  state.GetTable("keyed")->FindKey(probe, 0, &found);
+  EXPECT_EQ(found, exec::Selection{0});
+  found.clear();
+  state.GetTable("plain")->FindKey(probe, 0, &found);
+  EXPECT_TRUE(found.empty());
+  // A clone carries its own index.
+  DatabaseState copy = state.Clone();
+  copy.GetMutableTable("keyed")->Insert(R(2, "a"));
+  found.clear();
+  copy.GetTable("keyed")->FindKey(probe, 0, &found);
+  EXPECT_EQ(found, (exec::Selection{0, 1}));
+  found.clear();
+  state.GetTable("keyed")->FindKey(probe, 0, &found);
+  EXPECT_EQ(found, exec::Selection{0});
 }
 
 TEST(DatabaseStateTest, DataVersionCoversAllTablesAndDrops) {

@@ -410,5 +410,104 @@ TEST_F(WriteKeyTest, UnreferencedDeleteAndNonKeyUpdateSucceed) {
   EXPECT_TRUE(db_.VerifyConstraints().ok());
 }
 
+// The key checks run through the row finder and the key index; their
+// errors keep their text.
+TEST_F(WriteKeyTest, KeyErrorsKeepTheirText) {
+  auto insert = db_.ExecuteAsAdmin("insert into p values ('a', 'again')");
+  ASSERT_FALSE(insert.ok());
+  EXPECT_EQ(insert.status().message(), "duplicate primary key in 'p'");
+  auto update = db_.ExecuteAsAdmin("update p set k = 'b' where k = 'a'");
+  ASSERT_FALSE(update.ok());
+  EXPECT_EQ(update.status().message(), "duplicate primary key in 'p'");
+  auto orphan = db_.ExecuteAsAdmin("insert into c values ('nope', 'z')");
+  ASSERT_FALSE(orphan.ok());
+  EXPECT_EQ(orphan.status().message(),
+            "foreign key 'fk_c_0' violated: no matching row in 'p'");
+  EXPECT_TRUE(db_.VerifyConstraints().ok());
+}
+
+TEST(KeyedWriteTest, UpdateSwappingTwoKeysSucceeds) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    create table q (k int not null primary key, v varchar not null);
+    insert into q values (1, 'x'), (2, 'y'), (3, 'z');
+  )sql")
+                  .ok());
+  auto swap = db.ExecuteAsAdmin("update q set k = 3 - k where k < 3");
+  ASSERT_TRUE(swap.ok()) << swap.status().ToString();
+  EXPECT_EQ(swap.value().affected_rows, 2);
+  EXPECT_EQ(fgac::testing::SortedRowsToString(
+                fgac::testing::MustQueryAdmin(&db, "select k, v from q")),
+            "(1, 'y')\n(2, 'x')\n(3, 'z')\n");
+  // Two images sharing a key are refused, and so is one that collides
+  // with a row the UPDATE leaves in place.
+  auto same = db.ExecuteAsAdmin("update q set k = 7 where k < 3");
+  ASSERT_FALSE(same.ok());
+  EXPECT_EQ(same.status().message(), "duplicate primary key in 'q'");
+  auto kept = db.ExecuteAsAdmin("update q set k = 3 where k = 1");
+  ASSERT_FALSE(kept.ok());
+  EXPECT_EQ(kept.status().message(), "duplicate primary key in 'q'");
+  EXPECT_TRUE(db.VerifyConstraints().ok());
+}
+
+TEST(KeyedWriteTest, NullKeyPartsEqualEachOther) {
+  // A table-level PRIMARY KEY does not imply NOT NULL; a NULL key part
+  // equals NULL, as Value::operator== has it, and the index finds it.
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    create table n (a int, b int, primary key (a, b));
+    insert into n values (null, 1), (1, 1);
+  )sql")
+                  .ok());
+  auto dup = db.ExecuteAsAdmin("insert into n values (null, 1)");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.status().message(), "duplicate primary key in 'n'");
+  EXPECT_TRUE(db.ExecuteAsAdmin("insert into n values (null, 2)").ok());
+  auto collide = db.ExecuteAsAdmin("update n set a = null where a = 1");
+  ASSERT_FALSE(collide.ok());
+  EXPECT_EQ(collide.status().message(), "duplicate primary key in 'n'");
+}
+
+TEST(KeyedWriteTest, KeyedWritesMatchTheRowsTheyName) {
+  // UPDATE and DELETE by the whole key take the index; by part of it, the
+  // whole table. Either way they touch exactly the rows a SELECT names.
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    create table g (s varchar not null, c varchar not null,
+                    grade double not null, primary key (s, c));
+  )sql")
+                  .ok());
+  std::string values;
+  for (int s = 0; s < 30; ++s) {
+    for (int c = 0; c < 3; ++c) {
+      if (!values.empty()) values += ", ";
+      values += "('s" + std::to_string(s) + "', 'c" + std::to_string(c) +
+                "', " + std::to_string(s + c) + ")";
+    }
+  }
+  ASSERT_TRUE(db.ExecuteAsAdmin("insert into g values " + values).ok());
+  auto one = db.ExecuteAsAdmin(
+      "update g set grade = 100 where c = 'c1' and s = 's17'");
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one.value().affected_rows, 1);
+  auto gone = db.ExecuteAsAdmin("delete from g where s = 's17' and c = 'c2'");
+  ASSERT_TRUE(gone.ok());
+  EXPECT_EQ(gone.value().affected_rows, 1);
+  auto none = db.ExecuteAsAdmin(
+      "delete from g where s = 's17' and c = 'c2' and grade > 0");
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none.value().affected_rows, 0);
+  auto part = db.ExecuteAsAdmin("delete from g where s = 's3'");
+  ASSERT_TRUE(part.ok());
+  EXPECT_EQ(part.value().affected_rows, 3);
+  EXPECT_EQ(fgac::testing::SortedRowsToString(fgac::testing::MustQueryAdmin(
+                &db, "select c, grade from g where s = 's17'")),
+            "('c0', 17.0)\n('c1', 100.0)\n");
+  EXPECT_EQ(fgac::testing::MustQueryAdmin(&db, "select count(*) from g")
+                .rows()[0][0],
+            Value::Int(86));
+  EXPECT_TRUE(db.VerifyConstraints().ok());
+}
+
 }  // namespace
 }  // namespace fgac

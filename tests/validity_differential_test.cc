@@ -9,7 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include "algebra/plan.h"
+#include "core/auth_view.h"
 #include "core/database.h"
+#include "core/validity.h"
+#include "exec/executor.h"
+#include "exec/row_finder.h"
+#include "sql/parser.h"
 #include "tests/query_gen.h"
 #include "tests/test_util.h"
 
@@ -86,6 +92,56 @@ TEST(ValidityDifferentialTest, SerialProbesAgree) {
 
 TEST(ValidityDifferentialTest, PipelinedProbesAgree) {
   RunSweep(/*parallelism=*/4, /*num_queries=*/500, /*seed=*/8082026);
+}
+
+// The C3/CAgg probes of shape π*(σ*(Get)) are answered by the row finder
+// (through the key index when the selections pin the key). On the sweep's
+// corpus each such probe must be non-empty exactly when its LIMIT-1
+// execution is. The checker reads the probes only through these answers,
+// so its verdicts stay those of LIMIT-1 execution.
+TEST(ValidityDifferentialTest, RowFinderProbesAgreeWithLimitOneExecution) {
+  Database db;
+  SetupDatabase(&db, /*goal_directed=*/true, /*parallelism=*/1);
+  SessionContext ctx("11");
+  ctx.set_mode(EnforcementMode::kNonTruman);
+  auto views = core::InstantiateAvailableViews(db.catalog(), ctx);
+  ASSERT_TRUE(views.ok()) << views.status().ToString();
+  QueryGenerator gen(20260808);
+  size_t finder_probes = 0;
+  size_t nonempty_probes = 0;
+  for (size_t i = 0; i < 300; ++i) {
+    const std::string q = gen.NextQuery();
+    auto stmt = sql::Parser::ParseSelect(q);
+    if (!stmt.ok()) continue;
+    auto plan = db.BindQuery(*stmt.value(), ctx);
+    if (!plan.ok()) continue;
+    core::ValidityChecker checker(db.catalog(), &db.state(),
+                                  db.options().validity);
+    core::ValidityTrace trace;
+    checker.set_trace(&trace);
+    (void)checker.Check(plan.value(), views.value());
+    for (const core::ValidityTraceEvent& e : trace.events()) {
+      for (const algebra::PlanPtr& probe : e.probe_plans) {
+        std::optional<exec::TableFilter> filter = exec::AsTableFilter(probe);
+        if (!filter.has_value()) continue;
+        const storage::TableData* data = db.state().GetTable(filter->table);
+        ASSERT_NE(data, nullptr) << filter->table;
+        auto found = exec::FindRows(*data, filter->conjuncts, 1, nullptr);
+        auto limited =
+            exec::ExecutePlan(algebra::MakeLimit(1, probe), db.state());
+        bool finder = found.ok() && !found.value().empty();
+        bool executed = limited.ok() && !limited.value().empty();
+        ASSERT_EQ(finder, executed)
+            << "query #" << i << ": " << q << "\nprobe:\n"
+            << algebra::PlanToString(probe);
+        ++finder_probes;
+        nonempty_probes += finder ? 1 : 0;
+      }
+    }
+  }
+  // The corpus reaches the finder with both answers.
+  EXPECT_GT(nonempty_probes, 0u);
+  EXPECT_LT(nonempty_probes, finder_probes);
 }
 
 TEST(ValidityDifferentialTest, LowExpansionBudgetNeverAcceptsUnsoundly) {

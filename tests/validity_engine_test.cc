@@ -328,5 +328,61 @@ TEST_F(ValidityEngineTest, MultipleViewsJointlyTestify) {
           .valid);
 }
 
+// ROADMAP item 3's target for fresh C3 checks: the probes of a co-student
+// query pin registered's whole key, so the row finder answers each from
+// the key index and the probes' guards are charged the same rows whatever
+// the table's size.
+uint64_t ProbeGuardRows(int students) {
+  Database db;
+  fgac::testing::CreateUniversitySchema(&db);
+  CreateUniversityViews(&db);
+  constexpr int kCourses = 40;
+  storage::TableData* st = db.state().GetMutableTable("students");
+  storage::TableData* co = db.state().GetMutableTable("courses");
+  storage::TableData* reg = db.state().GetMutableTable("registered");
+  storage::TableData* gr = db.state().GetMutableTable("grades");
+  for (int c = 0; c < kCourses; ++c) {
+    co->Insert({Value::String("c" + std::to_string(c)), Value::String("x")});
+  }
+  for (int s = 0; s < students; ++s) {
+    Value sid = Value::String("s" + std::to_string(s));
+    st->Insert({sid, Value::String("n"), Value::String("fulltime")});
+    for (int r = 0; r < 4; ++r) {
+      Value cid = Value::String("c" + std::to_string((s + 7 * r) % kCourses));
+      reg->Insert({sid, cid});
+      gr->Insert({sid, cid, Value::Double(3.0)});
+    }
+  }
+  for (const char* view : {"costudentgrades", "myregistrations"}) {
+    EXPECT_TRUE(db.ExecuteAsAdmin(std::string("grant select on ") + view +
+                                  " to s3")
+                    .ok());
+  }
+  db.options().enable_validity_cache = false;
+  SessionContext ctx("s3");  // registered in c3, c10, c17 and c24
+  ctx.set_mode(core::EnforcementMode::kNonTruman);
+  ctx.set_profile(true);
+  auto r = db.Execute("select * from grades where course-id = 'c3'", ctx);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok() || r.value().trace == nullptr) return 0;
+  EXPECT_TRUE(r.value().validity.valid);
+  EXPECT_FALSE(r.value().validity.unconditional);
+  uint64_t rows = 0;
+  for (const core::ValidityTraceEvent& e : r.value().trace->events()) {
+    if (e.kind == core::ValidityTraceEvent::Kind::kProbeBatch) {
+      EXPECT_EQ(e.probe_rows, e.probes);  // every probe found its row
+      rows += e.guard_rows;
+    }
+  }
+  return rows;
+}
+
+TEST(FreshC3CheckTest, ProbeRowChargeDoesNotGrowWithTheTable) {
+  uint64_t small = ProbeGuardRows(200);
+  uint64_t large = ProbeGuardRows(8000);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(small, large);
+}
+
 }  // namespace
 }  // namespace fgac
