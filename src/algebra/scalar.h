@@ -170,9 +170,6 @@ class AggAccumulator {
   /// the argument column-at-a-time). For kCountStar the value is ignored.
   Status AddValue(const Value& v);
 
-  /// Counts `n` more input rows; only for kCountStar, which reads no value.
-  void CountRows(int64_t n) { count_ += n; }
-
   /// Folds another accumulator over the SAME aggregate expression into this
   /// one (parallel partial aggregation). DISTINCT aggregates replay the
   /// other side's seen-set through AddValue so cross-partition duplicates

@@ -52,6 +52,13 @@ int Value::Compare(const Value& other) const {
   return 0;
 }
 
+bool Value::HashAgreesWithEquality() const {
+  if (is_int()) return IntHashesAsDouble(int_value());
+  // Below 2^53 in magnitude, every int equal to a double is held exactly.
+  if (is_double()) return !(std::fabs(double_value()) >= 9007199254740992.0);
+  return true;
+}
+
 size_t Value::Hash() const {
   switch (kind()) {
     case Kind::kNull:

@@ -59,8 +59,16 @@ class Value {
 
   /// Stable hash consistent with operator== (int 3 and double 3.0 collide,
   /// as required since they compare equal; so do -0.0 and 0.0, and every
-  /// NaN). Built from the per-kind hashes below.
+  /// NaN), for every value HashAgreesWithEquality accepts. Built from the
+  /// per-kind hashes below.
   size_t Hash() const;
+
+  /// True when every value equal to this one hashes alike. An int meeting
+  /// a double compares as a double, so an int the double cannot hold
+  /// exactly (which HashInt hashes as an int) and a double of magnitude
+  /// 2^53 or more (which such an int can round onto) may hash apart from a
+  /// value they equal; a hash lookup of either must compare instead.
+  bool HashAgreesWithEquality() const;
 
   /// SQL literal rendering: NULL, TRUE, 42, 1.5, 'abc' (quotes escaped).
   std::string ToString() const;
@@ -94,14 +102,16 @@ inline size_t HashDouble(double v) {
   if (v == 0.0) v = 0.0;                  // -0.0 hashes as 0.0
   return std::hash<double>()(v);
 }
-inline size_t HashInt(int64_t v) {
-  // Hash through double so that equal int/double values collide. Values
-  // near INT64_MAX round up to 2^63, which does not fit back into int64_t
-  // (the cast would be undefined), so test the range first.
+/// True when the double nearest v holds it exactly. Values near INT64_MAX
+/// round up to 2^63, which does not fit back into int64_t (the cast would
+/// be undefined), so the range is tested first.
+inline bool IntHashesAsDouble(int64_t v) {
   double d = static_cast<double>(v);
-  if (d < 9223372036854775808.0 && static_cast<int64_t>(d) == v) {
-    return HashDouble(d);
-  }
+  return d < 9223372036854775808.0 && static_cast<int64_t>(d) == v;
+}
+inline size_t HashInt(int64_t v) {
+  // Hash through double so that equal int/double values collide.
+  if (IntHashesAsDouble(v)) return HashDouble(static_cast<double>(v));
   return std::hash<int64_t>()(v);
 }
 inline size_t HashString(const std::string& v) {

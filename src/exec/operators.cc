@@ -319,41 +319,18 @@ Status AccumulateGroups(Operator& child,
     }
     FGAC_RETURN_NOT_OK(common::GuardCheck(guard));
     size_t new_groups = 0;
-    if (group_by.empty()) {
-      // A scalar aggregate has one group: create it with the first row,
-      // then feed each aggregate a column at a time. COUNT(*) only counts.
-      if (chunk.size() == 0) continue;
-      if (groups->size() == 0) {
-        bool inserted = false;
-        groups->groups.FindOrInsert(group_cols, 0, HashKeyRow(group_cols, 0),
-                                    &inserted);
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      bool inserted = false;
+      uint32_t g = groups->groups.FindOrInsert(
+          group_cols, i, HashKeyRow(group_cols, i), &inserted);
+      if (inserted) {
         for (const algebra::AggExpr& a : aggs) groups->accs.emplace_back(a);
-        new_groups = 1;
+        ++new_groups;
       }
       for (size_t a = 0; a < aggs.size(); ++a) {
-        AggAccumulator& acc = groups->accs[a];
-        if (aggs[a].arg == nullptr) {
-          acc.CountRows(static_cast<int64_t>(chunk.size()));
-          continue;
-        }
-        for (size_t i = 0; i < chunk.size(); ++i) {
-          FGAC_RETURN_NOT_OK(acc.AddValue(arg_cols[a].GetValue(i)));
-        }
-      }
-    } else {
-      for (size_t i = 0; i < chunk.size(); ++i) {
-        bool inserted = false;
-        uint32_t g = groups->groups.FindOrInsert(
-            group_cols, i, HashKeyRow(group_cols, i), &inserted);
-        if (inserted) {
-          for (const algebra::AggExpr& a : aggs) groups->accs.emplace_back(a);
-          ++new_groups;
-        }
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          Value v = aggs[a].arg == nullptr ? Value::Null()
-                                           : arg_cols[a].GetValue(i);
-          FGAC_RETURN_NOT_OK(groups->accs[g * aggs.size() + a].AddValue(v));
-        }
+        Value v = aggs[a].arg == nullptr ? Value::Null()
+                                         : arg_cols[a].GetValue(i);
+        FGAC_RETURN_NOT_OK(groups->accs[g * aggs.size() + a].AddValue(v));
       }
     }
     FGAC_RETURN_NOT_OK(common::GuardChargeBytes(

@@ -1,7 +1,6 @@
 #include "exec/row_finder.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -16,26 +15,9 @@ using algebra::ScalarPtr;
 
 namespace {
 
-/// True when the key hash of `v` agrees with CompareAt's equality against
-/// an element of any kind. CompareAt widens an int meeting a double to
-/// double, but HashInt hashes through double only an int the double holds
-/// exactly; such an inexact int, or a double of magnitude 2^53 or more
-/// (which one can equal), may hash apart from an element it equals.
-bool HashAgreesWithEquality(const Value& v) {
-  if (v.is_int()) {
-    double d = static_cast<double>(v.int_value());
-    return d < 9223372036854775808.0 &&
-           static_cast<int64_t>(d) == v.int_value();
-  }
-  if (v.is_double()) {
-    return !(std::fabs(v.double_value()) >= 9007199254740992.0);
-  }
-  return true;
-}
-
 /// The value conjunct `p` pins column `slot` to: the literal of `slot =
-/// literal` (either side; non-NULL and hash-agreeing), or NULL for `slot
-/// IS NULL`. nullopt when `p` pins nothing there.
+/// literal` (either side; non-NULL), or NULL for `slot IS NULL`. nullopt
+/// when `p` pins nothing there.
 std::optional<Value> PinnedValue(const ScalarPtr& p, int slot) {
   if (p == nullptr) return std::nullopt;
   if (p->kind == ScalarKind::kUnary && p->un_op == sql::UnOp::kIsNull) {
@@ -53,15 +35,15 @@ std::optional<Value> PinnedValue(const ScalarPtr& p, int slot) {
   const algebra::Scalar* literal = p->right.get();
   if (column->kind == ScalarKind::kLiteral) std::swap(column, literal);
   if (column->kind != ScalarKind::kColumn || column->slot != slot ||
-      literal->kind != ScalarKind::kLiteral || literal->value.is_null() ||
-      !HashAgreesWithEquality(literal->value)) {
+      literal->kind != ScalarKind::kLiteral || literal->value.is_null()) {
     return std::nullopt;
   }
   return literal->value;
 }
 
 /// The rows the key index finds when `conjuncts` pin every key column of
-/// `table`; nullopt when the table has no key or a key column is unpinned.
+/// `table`; nullopt when the table has no key, a key column is unpinned or
+/// the index cannot answer for the pinned values.
 std::optional<Selection> KeyCandidates(const storage::TableData& table,
                                        const std::vector<ScalarPtr>& conjuncts) {
   const std::vector<size_t>& key_columns = table.key_columns();
@@ -76,7 +58,7 @@ std::optional<Selection> KeyCandidates(const storage::TableData& table,
     key[k].Append(*v);
   }
   Selection out;
-  table.FindKey(key, 0, &out);
+  if (!table.FindKey(key, 0, &out)) return std::nullopt;
   return out;
 }
 

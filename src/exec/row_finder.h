@@ -21,9 +21,8 @@ namespace fgac::exec {
 /// Candidates: when the conjuncts pin every key column of the table's key
 /// index — `column = literal` with the literal on either side and non-NULL,
 /// or `column IS NULL` — the candidates are the rows the index finds for
-/// those values; otherwise they are all rows. A literal whose hash can
-/// disagree with CompareAt's equality (an int the double hash cannot hold
-/// exactly, a double of magnitude 2^53 or more) pins nothing.
+/// those values; otherwise, or when the index cannot answer for them
+/// (storage::TableData::FindKey), they are all rows.
 ///
 /// All conjuncts then run, left to right, on the candidates through
 /// FilterSelection straight over the table's columns, in windows of

@@ -22,25 +22,25 @@ void KeyIndex::Update(const std::vector<exec::ColumnVector>& columns,
   if (key_columns_.empty()) return;
   uint64_t hash = exec::HashKeyRow(columns, key_columns_, pos);
   if (hash == hashes_[pos]) return;
-  size_t mask = slots_.size() - 1;
-  size_t hole = HomeSlot(hashes_[pos]);
-  while (slots_[hole] != pos + 1) hole = (hole + 1) & mask;
-  // Backward-shift deletion: pull each later entry of the run into the
-  // hole unless its home lies cyclically after the hole.
-  for (size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
-    size_t home = HomeSlot(hashes_[slots_[j] - 1]);
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  slots_[hole] = 0;
+  Unplace(pos);
   hashes_[pos] = hash;
   Place(pos);
 }
 
 void KeyIndex::Erase(const std::vector<size_t>& ascending) {
   if (key_columns_.empty() || ascending.empty()) return;
+  // Up to kMaxInPlaceErase rows free their slots; then one pass per erased
+  // position, highest first so each compares unshifted positions, moves
+  // every later position down by one. The pass is branch-free so it
+  // vectorizes, and an empty slot (0) stays 0. More rows re-slot all.
+  bool in_place = ascending.size() <= kMaxInPlaceErase;
+  if (in_place) {
+    for (size_t pos : ascending) Unplace(pos);
+    for (auto it = ascending.rbegin(); it != ascending.rend(); ++it) {
+      auto above = static_cast<uint32_t>(*it + 1);
+      for (uint32_t& s : slots_) s -= s > above ? 1 : 0;
+    }
+  }
   size_t out = ascending.front();
   for (size_t k = 0; k < ascending.size(); ++k) {
     size_t end = k + 1 < ascending.size() ? ascending[k + 1] : hashes_.size();
@@ -49,7 +49,7 @@ void KeyIndex::Erase(const std::vector<size_t>& ascending) {
     }
   }
   hashes_.resize(out);
-  Reslot();
+  if (!in_place) Reslot();
 }
 
 void KeyIndex::Clear() {
@@ -58,10 +58,14 @@ void KeyIndex::Clear() {
   shift_ = 64;
 }
 
-void KeyIndex::Find(const std::vector<exec::ColumnVector>& columns,
+bool KeyIndex::Find(const std::vector<exec::ColumnVector>& columns,
                     const std::vector<exec::ColumnVector>& key, size_t i,
                     exec::Selection* out) const {
-  if (slots_.empty()) return;
+  if (key_columns_.empty()) return false;
+  for (const exec::ColumnVector& c : key) {
+    if (!c.GetValue(i).HashAgreesWithEquality()) return false;
+  }
+  if (slots_.empty()) return true;
   uint64_t hash = exec::HashKeyRow(key, i);
   size_t first = out->size();
   size_t mask = slots_.size() - 1;
@@ -75,6 +79,7 @@ void KeyIndex::Find(const std::vector<exec::ColumnVector>& columns,
     if (equal) out->push_back(pos);
   }
   std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end());
+  return true;
 }
 
 void KeyIndex::Place(size_t pos) {
@@ -82,6 +87,22 @@ void KeyIndex::Place(size_t pos) {
   size_t s = HomeSlot(hashes_[pos]);
   while (slots_[s] != 0) s = (s + 1) & mask;
   slots_[s] = static_cast<uint32_t>(pos + 1);
+}
+
+void KeyIndex::Unplace(size_t pos) {
+  size_t mask = slots_.size() - 1;
+  size_t hole = HomeSlot(hashes_[pos]);
+  while (slots_[hole] != pos + 1) hole = (hole + 1) & mask;
+  // Backward-shift deletion: pull each later entry of the run into the
+  // hole unless its home lies cyclically after the hole.
+  for (size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
+    size_t home = HomeSlot(hashes_[slots_[j] - 1]);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = 0;
 }
 
 void KeyIndex::Reslot() {

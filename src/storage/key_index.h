@@ -23,7 +23,7 @@ namespace fgac::storage {
 /// hash plus 8-16 bytes of slots per row.
 ///
 /// An index over no columns is inactive: every call is a no-op and Find
-/// finds nothing.
+/// cannot answer.
 class KeyIndex {
  public:
   explicit KeyIndex(std::vector<size_t> key_columns = {})
@@ -37,24 +37,33 @@ class KeyIndex {
   /// Re-indexes row `pos` after an in-place overwrite; a row whose key hash
   /// is unchanged keeps its slot.
   void Update(const std::vector<exec::ColumnVector>& columns, size_t pos);
-  /// Drops the erased (ascending, deduplicated) positions and re-slots the
-  /// survivors at their shifted positions, from their kept hashes.
+  /// Drops the erased (ascending, deduplicated) positions and moves the
+  /// survivors to their shifted positions: in place for up to
+  /// kMaxInPlaceErase positions (one pass over the slots each), otherwise by
+  /// re-slotting every survivor from its kept hash.
   void Erase(const std::vector<size_t>& ascending);
   /// Drops every position (the table was emptied).
   void Clear();
 
   /// Appends to `out`, ascending, every position whose key equals element
-  /// `i` of `key` (one column per key column).
-  void Find(const std::vector<exec::ColumnVector>& columns,
+  /// `i` of `key` (one column per key column) and returns true. Returns
+  /// false, appending nothing, when the index cannot answer: it is
+  /// inactive, or an element of the probe may hash apart from a key it
+  /// equals (Value::HashAgreesWithEquality).
+  bool Find(const std::vector<exec::ColumnVector>& columns,
             const std::vector<exec::ColumnVector>& key, size_t i,
             exec::Selection* out) const;
 
  private:
+  static constexpr size_t kMaxInPlaceErase = 16;
+
   size_t HomeSlot(uint64_t hash) const {
     return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
   /// Puts `pos` into the first empty slot from its home.
   void Place(size_t pos);
+  /// Frees the slot of `pos` (backward-shift deletion).
+  void Unplace(size_t pos);
   /// Sizes the slot array for the indexed rows and places every position.
   void Reslot();
 

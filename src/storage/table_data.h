@@ -53,10 +53,14 @@ class TableData {
   }
   /// Appends to `out`, ascending, the position of every row whose key
   /// equals element `i` of `key` (one column per key column; NULL equals
-  /// NULL, 3 equals 3.0). Finds nothing in a table without a key.
-  void FindKey(const std::vector<exec::ColumnVector>& key, size_t i,
+  /// NULL, 3 equals 3.0) and returns true. Returns false, finding nothing,
+  /// when the index cannot answer and the caller must scan: the table has
+  /// no key, or a probe element may hash apart from a key it equals (an
+  /// int the double cannot hold exactly, a double of magnitude 2^53 or
+  /// more; Value::HashAgreesWithEquality).
+  bool FindKey(const std::vector<exec::ColumnVector>& key, size_t i,
                exec::Selection* out) const {
-    index_.Find(rows_.columns(), key, i, out);
+    return index_.Find(rows_.columns(), key, i, out);
   }
 
   /// Counts mutations (inserts, updates, deletes, wholesale replacement).

@@ -699,8 +699,8 @@ TEST_F(FilterKernelTest, OutOfRangeSlotKeepsItsError) {
   }
 }
 
-// Scalar aggregates (no GROUP BY) keep one group and count COUNT(*)
-// without reading values. Every aggregate, with and without DISTINCT, over
+// Scalar aggregates (no GROUP BY) run the grouped path with one empty key.
+// Every aggregate, with and without DISTINCT, over
 // empty, all-NULL, int, double and mixed-kind inputs of several chunks must
 // render exactly as the reference evaluator's, at parallelism 1 and 2.
 // The doubles are multiples of 1/4, so sums are exact in any order.
@@ -873,6 +873,26 @@ TEST_F(RowFinderTest, KeyLookupChargesOnlyItsCandidates) {
                              std::nullopt, &scan_guard)
                   .ok());
   EXPECT_EQ(scan_guard.rows_charged(), t.num_rows());
+}
+
+TEST_F(RowFinderTest, KeyTheIndexCannotAnswerIsScanned) {
+  // Double(2^53) equals both stored keys under CompareAt, but the int's
+  // hash differs from the double's; the index refuses the probe, so the
+  // finder scans every row and still finds both.
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  storage::TableData t(2, {0});
+  t.InsertRows({{Value::Int(kTwo53 + 1), Value::Int(0)},
+                {Value::Double(static_cast<double>(kTwo53)), Value::Int(1)},
+                {Value::Int(7), Value::Int(2)}});
+  std::vector<algebra::ScalarPtr> list = {
+      Equals(0, Value::Double(static_cast<double>(kTwo53)), /*flip=*/true)};
+  common::QueryGuard guard;
+  Result<std::vector<size_t>> found =
+      exec::FindRows(t, list, std::nullopt, &guard);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_EQ(found.value(), Scanned(t, list));
+  EXPECT_EQ(found.value(), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(guard.rows_charged(), t.num_rows());
 }
 
 TEST_F(RowFinderTest, ErrorOutsideTheCandidatesIsNotRaised) {

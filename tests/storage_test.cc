@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <random>
 #include <string>
 #include <thread>
@@ -265,7 +267,7 @@ void ExpectIndexMatchesScan(const TableData& t, const std::vector<Row>& extra,
       if (equal) scanned.push_back(static_cast<uint32_t>(i));
     }
     exec::Selection found;
-    t.FindKey(probe, 0, &found);
+    ASSERT_TRUE(t.FindKey(probe, 0, &found)) << step;
     ASSERT_EQ(found, scanned) << step << ": key " << RowToString(key);
   }
 }
@@ -349,6 +351,37 @@ TEST(KeyIndexTest, CompositeKeyFollowsRandomMutations) {
   }
 }
 
+// Int(2^53 + 1) equals Double(2^53) under CompareKeyAt (the int widens to
+// double) but HashInt hashes it as an int, so the index refuses a probe
+// whose hash may differ from a key it equals, and the caller scans.
+TEST(KeyIndexTest, RefusesProbesWhoseHashMayDisagreeWithEquality) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  TableData t(2, {0});
+  t.Insert({Value::Int(kTwo53 + 1), Value::String("int")});
+  t.Insert({Value::Double(static_cast<double>(kTwo53)), Value::String("dbl")});
+  t.Insert({Value::Int(5), Value::String("five")});
+  for (const Value& v :
+       {Value::Int(kTwo53 + 1), Value::Double(static_cast<double>(kTwo53)),
+        Value::Double(-1e300), Value::Int(INT64_MAX)}) {
+    std::vector<exec::ColumnVector> probe(1);
+    probe[0].Append(v);
+    exec::Selection found;
+    EXPECT_FALSE(t.FindKey(probe, 0, &found)) << v.ToString();
+    EXPECT_TRUE(found.empty()) << v.ToString();
+  }
+  // An int the double holds exactly, or a smaller double, is answered.
+  auto find = [&t](const Value& v) {
+    std::vector<exec::ColumnVector> probe(1);
+    probe[0].Append(v);
+    exec::Selection found;
+    EXPECT_TRUE(t.FindKey(probe, 0, &found)) << v.ToString();
+    return found;
+  };
+  EXPECT_EQ(find(Value::Int(kTwo53)), exec::Selection{1});
+  EXPECT_EQ(find(Value::Double(5.0)), exec::Selection{2});
+  EXPECT_TRUE(find(Value::Double(std::nan(""))).empty());
+}
+
 TEST(KeyIndexTest, StateCreatesTheIndexFromKeyColumns) {
   DatabaseState state;
   ASSERT_TRUE(state.CreateTable("keyed", 2, {1}).ok());
@@ -360,19 +393,19 @@ TEST(KeyIndexTest, StateCreatesTheIndexFromKeyColumns) {
   std::vector<exec::ColumnVector> probe(1);
   probe[0].Append(Value::String("a"));
   exec::Selection found;
-  state.GetTable("keyed")->FindKey(probe, 0, &found);
+  EXPECT_TRUE(state.GetTable("keyed")->FindKey(probe, 0, &found));
   EXPECT_EQ(found, exec::Selection{0});
   found.clear();
-  state.GetTable("plain")->FindKey(probe, 0, &found);
+  EXPECT_FALSE(state.GetTable("plain")->FindKey(probe, 0, &found));
   EXPECT_TRUE(found.empty());
   // A clone carries its own index.
   DatabaseState copy = state.Clone();
   copy.GetMutableTable("keyed")->Insert(R(2, "a"));
   found.clear();
-  copy.GetTable("keyed")->FindKey(probe, 0, &found);
+  EXPECT_TRUE(copy.GetTable("keyed")->FindKey(probe, 0, &found));
   EXPECT_EQ(found, (exec::Selection{0, 1}));
   found.clear();
-  state.GetTable("keyed")->FindKey(probe, 0, &found);
+  EXPECT_TRUE(state.GetTable("keyed")->FindKey(probe, 0, &found));
   EXPECT_EQ(found, exec::Selection{0});
 }
 
